@@ -3,12 +3,13 @@
 //   1. End-to-end FastOTClean, dense vs truncated-sparse kernel: kernel
 //      nonzeros, the fitted plan's storage (entries / bytes — CSR keeps
 //      exactly the kernel support, dense pays rows×cols), and wall time.
-//   2. Pooled vs spawn-per-call kernel dispatch at small plan sizes, where
-//      thread startup dominates the arithmetic: the same Sinkhorn scaling
-//      loop on the same kernel, with and without a persistent ThreadPool.
+//   2. Pooled vs inline kernel dispatch at small plan sizes, where the
+//      dispatch cost competes with the arithmetic: the same Sinkhorn
+//      scaling loop on the same kernel, with and without a ThreadPool
+//      (without one, the same chunks run inline on the calling thread).
 //
 // Cross-checks that sparse results match dense (cost within tolerance) and
-// that pooled potentials are bit-identical to spawned ones — a silent
+// that pooled potentials are bit-identical to inline ones — a silent
 // mismatch fails the run.
 
 #include <algorithm>
@@ -96,14 +97,15 @@ int main(int argc, char** argv) {
                 report->transport_cost, timer.ElapsedSeconds());
   }
 
-  // ---- 2. Pooled vs spawn-per-call dispatch on small plans. ----
+  // ---- 2. Pooled vs inline dispatch on small plans. ----
   bench::PrintHeader(
-      "Execution: persistent ThreadPool vs spawn-per-call kernels",
-      "pooled dispatch amortizes thread startup across all Sinkhorn "
-      "iterations; the win is largest on small plans");
+      "Execution: persistent ThreadPool vs inline kernels",
+      "pooled dispatch spreads each primitive's chunks over the pool's "
+      "workers; inline runs the same chunks on the calling thread");
 
   // At least 2 so the dispatch machinery engages even on a 1-core box
-  // (with 1 thread both modes run inline and measure the same thing).
+  // (with 1 thread both modes run one inline chunk and measure the same
+  // thing).
   const size_t threads = std::max<size_t>(2, linalg::ResolveThreadCount(0));
   std::printf("# threads: %zu\n", threads);
   std::printf("%-8s %-10s %-12s %-12s %-10s %-10s\n", "size", "mode",
@@ -121,8 +123,8 @@ int main(int argc, char** argv) {
     opts.tolerance = 1e-10;
     opts.num_threads = threads;
 
-    double spawn_seconds = 0.0;
-    ot::SinkhornScaling spawn_result;
+    double inline_seconds = 0.0;
+    ot::SinkhornScaling inline_result;
     for (const bool pooled : {false, true}) {
       // Build the kernel outside the timer (shared by both modes); time
       // only the scaling loop the pool accelerates.
@@ -135,18 +137,18 @@ int main(int argc, char** argv) {
           ot::RunSinkhornScaling(kernel, p, q, opts).value();
       const double seconds = timer.ElapsedSeconds();
       if (!pooled) {
-        spawn_seconds = seconds;
-        spawn_result = scaling;
-      } else if (!scaling.u.ApproxEquals(spawn_result.u, 0.0) ||
-                 !scaling.v.ApproxEquals(spawn_result.v, 0.0) ||
-                 scaling.iterations != spawn_result.iterations) {
+        inline_seconds = seconds;
+        inline_result = scaling;
+      } else if (!scaling.u.ApproxEquals(inline_result.u, 0.0) ||
+                 !scaling.v.ApproxEquals(inline_result.v, 0.0) ||
+                 scaling.iterations != inline_result.iterations) {
         ok = false;
       }
       std::printf("%-8zu %-10s %-12.4f %-12zu %-10.0f %-10.2f\n", n,
-                  pooled ? "pooled" : "spawn", seconds, scaling.iterations,
+                  pooled ? "pooled" : "inline", seconds, scaling.iterations,
                   static_cast<double>(scaling.iterations) /
                       (seconds > 0.0 ? seconds : 1e-9),
-                  pooled ? spawn_seconds / (seconds > 0.0 ? seconds : 1e-9)
+                  pooled ? inline_seconds / (seconds > 0.0 ? seconds : 1e-9)
                          : 1.0);
     }
   }

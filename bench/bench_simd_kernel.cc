@@ -28,7 +28,6 @@
 #include "common/timer.h"
 #include "linalg/simd.h"
 #include "linalg/transport_kernel.h"
-#include "linalg/transport_kernel_f32.h"
 
 using namespace otclean;
 

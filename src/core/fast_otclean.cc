@@ -6,259 +6,75 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/hash.h"
 #include "core/fault_injector.h"
 #include "core/solve_cache.h"
-#include "linalg/log_transport_kernel.h"
 #include "linalg/simd_exp.h"
 #include "linalg/thread_pool.h"
-#include "linalg/transport_kernel.h"
-#include "linalg/transport_kernel_f32.h"
 #include "nmf/kl_nmf.h"
+#include "ot/kernel_factory.h"
 
 namespace otclean::core {
 
 namespace {
 
-/// Holds whichever kernel storage the truncation × domain options select,
-/// built ONCE per repair — cost and ε are invariant across the outer
-/// loop, so each outer step only reruns the (warm-started) scaling loop.
-/// Four storages plug in behind one surface: dense/CSR × linear/log. In
-/// log-domain mode the "potentials" threaded through the outer loop (and
-/// its warm starts) are LOG-potentials; the struct is the only place that
-/// needs to know.
+/// The repair's one kernel, built ONCE per repair through ot::MakeKernel —
+/// cost and ε are invariant across the outer loop, so each outer step only
+/// reruns the (warm-started) scaling loop. In log-domain mode the
+/// "potentials" threaded through the outer loop (and its warm starts) are
+/// LOG-potentials; the struct is the only place that needs to know.
 ///
 /// The truncated paths are cost-free in the O(rows×cols) sense: the
 /// kernel is built by streaming the CostProvider tile-by-tile, and every
-/// ⟨C, π⟩ evaluation gathers cost entries only at the kernel's support —
-/// the dense cost matrix is materialized exclusively for the dense
-/// linear path (the dense log kernel streams the provider straight into
-/// L = −C/ε).
+/// ⟨C, π⟩ evaluation reads C gathered once at the kernel's support
+/// (KernelBuild::support_costs) — the dense cost matrix is materialized
+/// exclusively for the dense linear path (the dense log kernel streams the
+/// provider straight into L = −C/ε).
 struct OuterLoopKernel {
-  std::optional<linalg::DenseTransportKernel> dense;
-  std::optional<linalg::SparseTransportKernel> sparse;
-  std::optional<linalg::DenseLogTransportKernel> log_dense;
-  std::optional<linalg::SparseLogTransportKernel> log_sparse;
-  /// f32 storage tier (options.precision == kFloat32): same four shapes,
-  /// float-held kernel values, double accumulation. Exactly one of the
-  /// eight is engaged.
-  std::optional<linalg::DenseTransportKernelF32> dense_f32;
-  std::optional<linalg::SparseTransportKernelF32> sparse_f32;
-  std::optional<linalg::DenseLogTransportKernelF32> log_dense_f32;
-  std::optional<linalg::SparseLogTransportKernelF32> log_sparse_f32;
-  /// Sparse paths only: C gathered once at the kernel's support (O(nnz)),
-  /// so the outer loop's repeated ⟨C, π⟩ evaluations never re-invoke the
-  /// cost function. shared_ptr-held so the solve cache can hand one
-  /// gather to every job sharing the kernel.
-  std::shared_ptr<const std::vector<double>> support_costs;
-  /// Dense linear path only (null otherwise): the materialized cost,
-  /// used for the zero-copy TransportCost fast path (shared like the
-  /// kernel).
-  std::shared_ptr<const linalg::Matrix> cost_matrix;
-  /// Dense log path only: borrowed provider for streamed ⟨C, π⟩.
-  const linalg::CostProvider* cost_provider = nullptr;
-  /// True when every storage came out of the solve cache (nothing was
-  /// streamed or exponentiated for this repair).
-  bool kernel_hit = false;
+  ot::KernelBuild build;
+  /// Borrowed provider, for the dense log path's streamed ⟨C, π⟩.
+  const linalg::CostProvider* cost;
 
-  /// `cache` (nullable) with an invalid `key` is a silent no-op, so the
-  /// uncached construction path is unchanged. A hit adopts the cached
-  /// storages — the same bytes the miss built, hence bit-identical
-  /// arithmetic; a miss builds and publishes them.
-  OuterLoopKernel(const linalg::CostProvider& cost,
-                  const FastOtCleanOptions& options, linalg::ThreadPool* pool,
-                  SolveCache* cache, const SolveCacheKey& key) {
-    const bool truncated = options.kernel_truncation > 0.0;
-    const bool f32 = options.precision == linalg::Precision::kFloat32;
-    std::optional<CachedKernel> hit;
-    if (cache != nullptr) hit = cache->FindKernel(key);
-    if (options.log_domain && truncated) {
-      if (f32) {
-        if (hit && hit->sparse_f32) {
-          kernel_hit = true;
-          log_sparse_f32.emplace(linalg::SparseLogTransportKernelF32(
-              hit->sparse_f32, options.num_threads, pool));
-          support_costs = hit->support_costs;
-        } else {
-          log_sparse_f32.emplace(linalg::SparseLogTransportKernelF32::FromCost(
-              cost, options.epsilon, options.kernel_truncation,
-              options.num_threads, pool));
-        }
-        if (!support_costs) {
-          support_costs = std::make_shared<const std::vector<double>>(
-              log_sparse_f32->GatherSupportCosts(cost));
-        }
-      } else if (hit && hit->sparse) {
-        kernel_hit = true;
-        log_sparse.emplace(linalg::SparseLogTransportKernel(
-            hit->sparse, options.num_threads, pool));
-        support_costs = hit->support_costs;
-      } else {
-        log_sparse.emplace(linalg::SparseLogTransportKernel::FromCost(
-            cost, options.epsilon, options.kernel_truncation,
-            options.num_threads, pool));
-      }
-      if (!support_costs && log_sparse) {
-        support_costs = std::make_shared<const std::vector<double>>(
-            log_sparse->GatherSupportCosts(cost));
-      }
-    } else if (options.log_domain) {
-      if (f32) {
-        if (hit && hit->dense_f32) {
-          kernel_hit = true;
-          log_dense_f32.emplace(linalg::DenseLogTransportKernelF32(
-              hit->dense_f32, options.num_threads, pool));
-        } else {
-          log_dense_f32.emplace(linalg::DenseLogTransportKernelF32::FromCost(
-              cost, options.epsilon, options.num_threads, pool));
-        }
-      } else if (hit && hit->dense) {
-        kernel_hit = true;
-        log_dense.emplace(linalg::DenseLogTransportKernel(
-            hit->dense, options.num_threads, pool));
-      } else {
-        log_dense.emplace(linalg::DenseLogTransportKernel::FromCost(
-            cost, options.epsilon, options.num_threads, pool));
-      }
-      cost_provider = &cost;
-    } else if (truncated) {
-      if (f32) {
-        if (hit && hit->sparse_f32) {
-          kernel_hit = true;
-          sparse_f32.emplace(linalg::SparseTransportKernelF32(
-              hit->sparse_f32, options.num_threads, pool));
-          support_costs = hit->support_costs;
-        } else {
-          sparse_f32.emplace(linalg::SparseTransportKernelF32::FromCost(
-              cost, options.epsilon, options.kernel_truncation,
-              options.num_threads, pool));
-        }
-        if (!support_costs) {
-          support_costs = std::make_shared<const std::vector<double>>(
-              sparse_f32->GatherSupportCosts(cost));
-        }
-      } else if (hit && hit->sparse) {
-        kernel_hit = true;
-        sparse.emplace(linalg::SparseTransportKernel(
-            hit->sparse, options.num_threads, pool));
-        support_costs = hit->support_costs;
-      } else {
-        sparse.emplace(linalg::SparseTransportKernel::FromCost(
-            cost, options.epsilon, options.kernel_truncation,
-            options.num_threads, pool));
-      }
-      if (!support_costs && sparse) {
-        support_costs = std::make_shared<const std::vector<double>>(
-            sparse->GatherSupportCosts(cost));
-      }
-    } else {
-      // Dense linear: both tiers keep the materialized cost around for the
-      // zero-copy ⟨C, π⟩ path (the f32 tier only narrows the *kernel*).
-      if (f32) {
-        if (hit && hit->dense_f32 && hit->dense_cost) {
-          kernel_hit = true;
-          cost_matrix = hit->dense_cost;
-          dense_f32.emplace(linalg::DenseTransportKernelF32(
-              hit->dense_f32, options.num_threads, pool));
-        } else {
-          cost_matrix = std::make_shared<const linalg::Matrix>(
-              linalg::MaterializeCostMatrix(cost));
-          dense_f32.emplace(linalg::DenseTransportKernelF32::FromCost(
-              *cost_matrix, options.epsilon, options.num_threads, pool));
-        }
-      } else if (hit && hit->dense && hit->dense_cost) {
-        kernel_hit = true;
-        cost_matrix = hit->dense_cost;
-        dense.emplace(linalg::DenseTransportKernel(hit->dense,
-                                                   options.num_threads, pool));
-      } else {
-        cost_matrix = std::make_shared<const linalg::Matrix>(
-            linalg::MaterializeCostMatrix(cost));
-        dense.emplace(linalg::DenseTransportKernel::FromCost(
-            *cost_matrix, options.epsilon, options.num_threads, pool));
-      }
-    }
-    if (cache != nullptr && !kernel_hit) {
-      CachedKernel built;
-      if (dense) {
-        built.dense = dense->shared_kernel();
-        built.dense_cost = cost_matrix;
-      } else if (dense_f32) {
-        built.dense_f32 = dense_f32->shared_storage();
-        built.dense_cost = cost_matrix;
-      } else if (log_dense) {
-        built.dense = log_dense->shared_log_kernel();
-      } else if (log_dense_f32) {
-        built.dense_f32 = log_dense_f32->shared_storage();
-      } else if (sparse) {
-        built.sparse = sparse->shared_storage();
-        built.support_costs = support_costs;
-      } else if (sparse_f32) {
-        built.sparse_f32 = sparse_f32->shared_storage();
-        built.support_costs = support_costs;
-      } else if (log_sparse) {
-        built.sparse = log_sparse->shared_storage();
-        built.support_costs = support_costs;
-      } else {
-        built.sparse_f32 = log_sparse_f32->shared_storage();
-        built.support_costs = support_costs;
-      }
-      cache->InsertKernel(key, std::move(built));
-    }
+  /// `cache` (nullable) with an invalid `key` is a silent no-op. A hit
+  /// adopts the cached storages — the same bytes the miss built, hence
+  /// bit-identical arithmetic; a miss builds and publishes them.
+  OuterLoopKernel(const linalg::CostProvider& cost_view,
+                  const ot::KernelSpec& spec, SolveCache* cache,
+                  const SolveCacheKey& key)
+      : build(ot::MakeKernel(cost_view, spec, cache, key)), cost(&cost_view) {}
+
+  template <typename Fn>
+  decltype(auto) Visit(Fn&& fn) const {
+    return std::visit(std::forward<Fn>(fn), build.kernel);
   }
 
-  /// Whichever linear-domain kernel is engaged (null in log mode): the
-  /// engine loop and marginals only need the abstract interface, so the
-  /// f64/f32 split collapses here.
-  const linalg::TransportKernel* linear_kernel() const {
-    if (dense) return &*dense;
-    if (sparse) return &*sparse;
-    if (dense_f32) return &*dense_f32;
-    if (sparse_f32) return &*sparse_f32;
-    return nullptr;
+  bool log_domain() const {
+    return Visit([](const auto& k) {
+      return ot::kIsLogKernel<std::decay_t<decltype(k)>>;
+    });
   }
-
-  const linalg::LogTransportKernel* log_kernel() const {
-    if (log_dense) return &*log_dense;
-    if (log_sparse) return &*log_sparse;
-    if (log_dense_f32) return &*log_dense_f32;
-    if (log_sparse_f32) return &*log_sparse_f32;
-    return nullptr;
-  }
-
-  bool log_domain() const { return log_kernel() != nullptr; }
 
   size_t nnz() const {
-    const linalg::LogTransportKernel* lk = log_kernel();
-    return lk != nullptr ? lk->nnz() : linear_kernel()->nnz();
+    return Visit([](const auto& k) { return k.nnz(); });
   }
 
   /// Truncation must not strand source mass: every active-domain row needs
   /// at least one surviving kernel entry. (Columns may legitimately go
-  /// empty — the relaxed target marginal simply never reaches them.) The
-  /// linear and log kernels share one kept-set, so one guard serves both;
-  /// f32 shares the f64 kept-set too (decided in double), so all four
-  /// sparse shapes funnel into the same check.
+  /// empty — the relaxed target marginal simply never reaches them.) All
+  /// four sparse kernels of one (cost, ε, cutoff) share the kept-set.
   Status CheckSupport(const linalg::Vector& p, const char* where) const {
-    if (sparse) {
-      return ot::CheckTruncatedKernelSupport(sparse->kernel(), &p,
-                                             /*q=*/nullptr, where);
-    }
-    if (log_sparse) {
-      return ot::CheckTruncatedKernelSupport(log_sparse->log_kernel(), &p,
-                                             /*q=*/nullptr, where);
-    }
-    if (sparse_f32) {
-      return ot::CheckTruncatedKernelSupport(*sparse_f32->shared_storage(), &p,
-                                             /*q=*/nullptr, where);
-    }
-    if (log_sparse_f32) {
-      return ot::CheckTruncatedKernelSupport(*log_sparse_f32->shared_storage(),
-                                             &p, /*q=*/nullptr, where);
-    }
-    return Status::OK();
+    return Visit([&](const auto& k) {
+      if constexpr (ot::kIsSparseKernel<std::decay_t<decltype(k)>>) {
+        return ot::CheckTruncatedKernelSupport(*k.shared_storage(), &p,
+                                               /*q=*/nullptr, where);
+      } else {
+        return Status::OK();
+      }
+    });
   }
 
   /// One inner Sinkhorn solve against the current column marginal. The
@@ -270,19 +86,17 @@ struct OuterLoopKernel {
                                     const ot::SinkhornOptions& sink,
                                     const linalg::Vector* warm_u,
                                     const linalg::Vector* warm_v) const {
-    if (const linalg::LogTransportKernel* lk = log_kernel()) {
-      OTCLEAN_ASSIGN_OR_RETURN(
-          ot::SinkhornLogScaling s,
-          ot::RunSinkhornLogScaling(*lk, p, q_cols, sink, warm_u, warm_v));
-      ot::SinkhornScaling out;
-      out.u = std::move(s.lu);
-      out.v = std::move(s.lv);
-      out.iterations = s.iterations;
-      out.converged = s.converged;
-      return out;
-    }
-    return ot::RunSinkhornScaling(*linear_kernel(), p, q_cols, sink, warm_u,
-                                  warm_v);
+    return Visit([&](const auto& k) -> Result<ot::SinkhornScaling> {
+      if constexpr (ot::kIsLogKernel<std::decay_t<decltype(k)>>) {
+        OTCLEAN_ASSIGN_OR_RETURN(
+            ot::SinkhornLogScaling s,
+            ot::RunSinkhornLogScaling(k, p, q_cols, sink, warm_u, warm_v));
+        return ot::SinkhornScaling{std::move(s.lu), std::move(s.lv),
+                                   s.iterations, s.converged};
+      } else {
+        return ot::RunSinkhornScaling(k, p, q_cols, sink, warm_u, warm_v);
+      }
+    });
   }
 
   /// Column marginal of the plan at the current potentials, without
@@ -292,40 +106,37 @@ struct OuterLoopKernel {
   void ColumnMarginal(const linalg::Vector& u, const linalg::Vector& v,
                       linalg::Vector& scratch,
                       linalg::Vector& target_mass) const {
-    if (const linalg::LogTransportKernel* lk = log_kernel()) {
-      lk->LogApplyTranspose(u, scratch);
-      if (target_mass.size() != scratch.size()) {
-        target_mass = linalg::Vector(scratch.size());
+    Visit([&](const auto& k) {
+      if constexpr (ot::kIsLogKernel<std::decay_t<decltype(k)>>) {
+        k.LogApplyTranspose(u, scratch);
+        if (target_mass.size() != scratch.size()) {
+          target_mass = linalg::Vector(scratch.size());
+        }
+        for (size_t j = 0; j < scratch.size(); ++j) {
+          target_mass[j] = linalg::simd::PolyExp(scratch[j] + v[j]);
+        }
+      } else {
+        k.ApplyTranspose(u, scratch);
+        target_mass = scratch.CwiseProduct(v);
       }
-      for (size_t j = 0; j < scratch.size(); ++j) {
-        target_mass[j] = linalg::simd::PolyExp(scratch[j] + v[j]);
-      }
-      return;
-    }
-    linear_kernel()->ApplyTranspose(u, scratch);
-    target_mass = scratch.CwiseProduct(v);
+    });
   }
 
-  /// ⟨C, π⟩ at the current potentials: in-memory cost rows on the dense
-  /// linear path, the cached O(nnz) support costs on the sparse ones, the
-  /// streamed provider on the dense log path.
+  /// ⟨C, π⟩ at the current potentials: the cached O(nnz) support costs on
+  /// the sparse paths, the streamed provider on the dense log path, the
+  /// materialized cost rows on the dense linear path (the provider is
+  /// function-backed, so MakeKernel materialized them).
   double TransportCost(const linalg::Vector& u, const linalg::Vector& v) const {
-    if (sparse) return sparse->SupportTransportCost(*support_costs, u, v);
-    if (sparse_f32) {
-      return sparse_f32->SupportTransportCost(*support_costs, u, v);
-    }
-    if (log_sparse) {
-      return log_sparse->SupportTransportCost(*support_costs, u, v);
-    }
-    if (log_sparse_f32) {
-      return log_sparse_f32->SupportTransportCost(*support_costs, u, v);
-    }
-    if (log_dense) return log_dense->TransportCost(*cost_provider, u, v);
-    if (log_dense_f32) {
-      return log_dense_f32->TransportCost(*cost_provider, u, v);
-    }
-    if (dense_f32) return dense_f32->TransportCost(*cost_matrix, u, v);
-    return dense->TransportCost(*cost_matrix, u, v);
+    return Visit([&](const auto& k) {
+      using K = std::decay_t<decltype(k)>;
+      if constexpr (ot::kIsSparseKernel<K>) {
+        return k.SupportTransportCost(*build.support_costs, u, v);
+      } else if constexpr (ot::kIsLogKernel<K>) {
+        return k.TransportCost(*cost, u, v);
+      } else {
+        return k.TransportCost(*build.dense_cost, u, v);
+      }
+    });
   }
 
   /// Materializes the final plan from the converged potentials and stores
@@ -339,31 +150,32 @@ struct OuterLoopKernel {
                                     const linalg::Vector& v,
                                     double& transport_cost) const {
     transport_cost = TransportCost(u, v);
-    if (sparse) {
-      return ot::TransportPlan(dom, row_cells, col_cells,
-                               sparse->ScaleToPlanSparse(u, v));
-    }
-    if (sparse_f32) {
-      return ot::TransportPlan(dom, row_cells, col_cells,
-                               sparse_f32->ScaleToPlanSparse(u, v));
-    }
-    if (log_sparse) {
-      return ot::TransportPlan(dom, row_cells, col_cells,
-                               log_sparse->ScaleToPlanSparse(u, v));
-    }
-    if (log_sparse_f32) {
-      return ot::TransportPlan(dom, row_cells, col_cells,
-                               log_sparse_f32->ScaleToPlanSparse(u, v));
-    }
-    if (const linalg::LogTransportKernel* lk = log_kernel()) {
-      return ot::TransportPlan(dom, row_cells, col_cells,
-                               lk->ScaleToPlan(u, v));
-    }
-    return ot::TransportPlan(dom, row_cells, col_cells,
-                             linear_kernel()->ScaleToPlan(u, v));
+    return Visit([&](const auto& k) {
+      if constexpr (ot::kIsSparseKernel<std::decay_t<decltype(k)>>) {
+        return ot::TransportPlan(dom, row_cells, col_cells,
+                                 k.ScaleToPlanSparse(u, v));
+      } else {
+        return ot::TransportPlan(dom, row_cells, col_cells,
+                                 k.ScaleToPlan(u, v));
+      }
+    });
   }
 };
 
+/// The kernel a FastOTClean repair iterates on.
+ot::KernelSpec FastKernelSpec(const FastOtCleanOptions& options,
+                              linalg::ThreadPool* pool) {
+  ot::KernelSpec spec;
+  spec.epsilon = options.epsilon;
+  spec.sparse = options.kernel_truncation > 0.0;
+  spec.cutoff = options.kernel_truncation;
+  spec.log_domain = options.log_domain;
+  spec.precision = options.precision;
+  spec.num_threads = options.num_threads;
+  spec.pool = pool;
+  spec.gather_support_costs = true;
+  return spec;
+}
 
 /// FaultSite::kAlloc checkpoint: models the outer-loop kernel allocation
 /// failing. Thrown rather than returned so the unwind path — cache pins
@@ -436,19 +248,6 @@ uint64_t FastCostFingerprint(const ot::CostFunction& cost,
   h = HashMix(h, col_cells.size());
   for (size_t c : col_cells) h = HashMix(h, c);
   return h == 0 ? 1 : h;
-}
-
-/// Cache key for a FastOTClean solve's outer-loop kernel. Invalid key
-/// (caching off) when the cost is unfingerprintable.
-SolveCacheKey MakeFastCacheKey(uint64_t fast_fingerprint,
-                               const std::vector<size_t>& row_cells,
-                               const std::vector<size_t>& col_cells,
-                               const FastOtCleanOptions& options) {
-  if (fast_fingerprint == 0) return SolveCacheKey{};
-  return MakeSolveCacheKey(fast_fingerprint, row_cells.size(),
-                           col_cells.size(), options.epsilon,
-                           options.kernel_truncation, options.log_domain,
-                           /*salt=*/0, options.precision);
 }
 
 /// The warm-start store speaks linear-domain potentials regardless of the
@@ -720,7 +519,7 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
   sink.deadline = options.deadline;
 
   // One worker pool for the whole repair: every Sinkhorn iteration of
-  // every outer step dispatches on it instead of spawning threads anew.
+  // every outer step dispatches on it, so workers start once per repair.
   std::optional<linalg::ThreadPool> owned_pool;
   linalg::ThreadPool* pool = linalg::ResolveSolvePool(
       options.thread_pool, options.num_threads, owned_pool);
@@ -729,18 +528,19 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
       options.solve_cache != nullptr && !poison_kernel
           ? FastCostFingerprint(cost, dom, row_cells, col_cells)
           : 0;
-  const SolveCacheKey cache_key =
-      MakeFastCacheKey(fast_fp, row_cells, col_cells, options);
+  const ot::KernelSpec spec = FastKernelSpec(options, pool);
+  const SolveCacheKey cache_key = ot::KernelCacheKey(
+      fast_fp, row_cells.size(), col_cells.size(), spec);
   MaybeInjectAllocFailure(options.fault_injector);
-  const OuterLoopKernel kernel_storage(build_view, options, pool,
-                                       options.solve_cache, cache_key);
+  const OuterLoopKernel kernel_storage(build_view, spec, options.solve_cache,
+                                       cache_key);
   OTCLEAN_RETURN_NOT_OK(kernel_storage.CheckSupport(p, "FastOtClean"));
 
   FastOtCleanResult result;
   result.kernel_nnz = kernel_storage.nnz();
   if (options.solve_cache != nullptr && cache_key.valid()) {
-    result.cache_kernel_hits = kernel_storage.kernel_hit ? 1 : 0;
-    result.cache_kernel_misses = kernel_storage.kernel_hit ? 0 : 1;
+    result.cache_kernel_hits = kernel_storage.build.cache_hit ? 1 : 0;
+    result.cache_kernel_misses = kernel_storage.build.cache_hit ? 0 : 1;
   }
   linalg::Vector warm_u, warm_v, ktu;
   size_t warm_cold_baseline = 0;
@@ -904,7 +704,7 @@ Result<FastOtCleanResult> FastOtCleanMulti(
   sink.deadline = options.deadline;
 
   // One worker pool for the whole repair: every Sinkhorn iteration of
-  // every outer step dispatches on it instead of spawning threads anew.
+  // every outer step dispatches on it, so workers start once per repair.
   std::optional<linalg::ThreadPool> owned_pool;
   linalg::ThreadPool* pool = linalg::ResolveSolvePool(
       options.thread_pool, options.num_threads, owned_pool);
@@ -913,18 +713,19 @@ Result<FastOtCleanResult> FastOtCleanMulti(
       options.solve_cache != nullptr && !poison_kernel
           ? FastCostFingerprint(cost, dom, row_cells, col_cells)
           : 0;
-  const SolveCacheKey cache_key =
-      MakeFastCacheKey(fast_fp, row_cells, col_cells, options);
+  const ot::KernelSpec spec = FastKernelSpec(options, pool);
+  const SolveCacheKey cache_key = ot::KernelCacheKey(
+      fast_fp, row_cells.size(), col_cells.size(), spec);
   MaybeInjectAllocFailure(options.fault_injector);
-  const OuterLoopKernel kernel_storage(build_view, options, pool,
-                                       options.solve_cache, cache_key);
+  const OuterLoopKernel kernel_storage(build_view, spec, options.solve_cache,
+                                       cache_key);
   OTCLEAN_RETURN_NOT_OK(kernel_storage.CheckSupport(p, "FastOtCleanMulti"));
 
   FastOtCleanResult result;
   result.kernel_nnz = kernel_storage.nnz();
   if (options.solve_cache != nullptr && cache_key.valid()) {
-    result.cache_kernel_hits = kernel_storage.kernel_hit ? 1 : 0;
-    result.cache_kernel_misses = kernel_storage.kernel_hit ? 0 : 1;
+    result.cache_kernel_hits = kernel_storage.build.cache_hit ? 1 : 0;
+    result.cache_kernel_misses = kernel_storage.build.cache_hit ? 0 : 1;
   }
   linalg::Vector warm_u, warm_v, ktu;
   size_t warm_cold_baseline = 0;

@@ -3,14 +3,14 @@
 #include "common/hash.h"
 #include "core/fault_injector.h"
 #include "linalg/simd.h"
-#include "linalg/transport_kernel_f32.h"
 
 namespace otclean::core {
 
 namespace {
 
-size_t MatrixBytes(const std::shared_ptr<const linalg::Matrix>& m) {
-  return m ? m->size() * sizeof(double) : 0;
+template <typename M>
+size_t MatrixBytes(const std::shared_ptr<const M>& m) {
+  return m ? m->size() * sizeof(m->data()[0]) : 0;
 }
 
 size_t WarmBytes(const std::optional<CachedWarmStart>& w) {
@@ -23,7 +23,7 @@ size_t WarmBytes(const std::optional<CachedWarmStart>& w) {
 SolveCacheKey MakeSolveCacheKey(uint64_t cost_fingerprint, size_t rows,
                                 size_t cols, double epsilon, double truncation,
                                 bool log_domain, uint64_t salt,
-                                linalg::Precision precision) {
+                                linalg::Precision precision, bool sparse) {
   SolveCacheKey key;
   if (cost_fingerprint == 0) return key;  // invalid: caching disabled
   key.rows = rows;
@@ -31,7 +31,7 @@ SolveCacheKey MakeSolveCacheKey(uint64_t cost_fingerprint, size_t rows,
   key.epsilon = epsilon;
   key.truncation = truncation;
   key.log_domain = log_domain;
-  key.sparse = truncation > 0.0;
+  key.sparse = sparse || truncation > 0.0;
   key.simd_isa = static_cast<uint8_t>(linalg::simd::ActiveIsa());
   key.precision = static_cast<uint8_t>(precision);
   uint64_t h = HashMix(kHashSeed, cost_fingerprint);
@@ -48,9 +48,9 @@ SolveCacheKey MakeSolveCacheKey(uint64_t cost_fingerprint, size_t rows,
 }
 
 size_t CachedKernel::MemoryBytes() const {
-  size_t bytes = MatrixBytes(dense) + MatrixBytes(dense_cost);
+  size_t bytes = MatrixBytes(dense) + MatrixBytes(dense_f32) +
+                 MatrixBytes(dense_cost);
   if (sparse) bytes += sparse->MemoryBytes();
-  if (dense_f32) bytes += dense_f32->MemoryBytes();
   if (sparse_f32) bytes += sparse_f32->MemoryBytes();
   if (support_costs) bytes += support_costs->size() * sizeof(double);
   return bytes;

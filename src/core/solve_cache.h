@@ -15,11 +15,6 @@
 #include "linalg/transport_kernel.h"
 #include "linalg/vector.h"
 
-namespace otclean::linalg {
-struct DenseKernelStorageF32;
-struct SparseKernelStorageF32;
-}  // namespace otclean::linalg
-
 namespace otclean::core {
 
 class FaultInjector;
@@ -61,14 +56,16 @@ struct SolveCacheKey {
 /// Builds a key from the solve inputs. A zero `cost_fingerprint` yields an
 /// invalid key (content 0), which every cache operation treats as a no-op —
 /// the path for unfingerprintable costs (LambdaCost). `salt` folds in any
-/// extra caller identity (FastOTClean hashes the domain shape and active
-/// cells into it). `truncation > 0` marks the kernel sparse; the SIMD tier
-/// is read from the runtime dispatcher; `precision` is the storage tier
-/// the solve iterates on.
+/// extra caller identity. `sparse` names CSR kernel storage (a positive
+/// `truncation` implies it; a cutoff-0 CSR kernel must pass it, or it
+/// would alias the dense kernel of the same cost and ε — ot::MakeKernel's
+/// keys always do); the SIMD tier is read from the runtime dispatcher;
+/// `precision` is the storage tier the solve iterates on.
 SolveCacheKey MakeSolveCacheKey(
     uint64_t cost_fingerprint, size_t rows, size_t cols, double epsilon,
     double truncation, bool log_domain, uint64_t salt = 0,
-    linalg::Precision precision = linalg::Precision::kFloat64);
+    linalg::Precision precision = linalg::Precision::kFloat64,
+    bool sparse = false);
 
 /// Shared handles to one solve's immutable built artifacts. Exactly one of
 /// `dense`/`sparse`/`dense_f32`/`sparse_f32` is set (the kernel
@@ -79,12 +76,13 @@ SolveCacheKey MakeSolveCacheKey(
 /// kernel's values, `dense_cost` the materialized cost matrix of the dense
 /// path. Everything is shared_ptr-held and immutable, so a hit hands out
 /// the very same storage the miss built — arithmetic over it is
-/// bit-identical by construction.
+/// bit-identical by construction. ot::MakeKernel owns the kernel → slot
+/// mapping.
 struct CachedKernel {
-  std::shared_ptr<const linalg::Matrix> dense;
-  std::shared_ptr<const linalg::SparseKernelStorage> sparse;
-  std::shared_ptr<const linalg::DenseKernelStorageF32> dense_f32;
-  std::shared_ptr<const linalg::SparseKernelStorageF32> sparse_f32;
+  std::shared_ptr<const linalg::DenseStorage<double>> dense;
+  std::shared_ptr<const linalg::SparseStorage<double>> sparse;
+  std::shared_ptr<const linalg::DenseStorage<float>> dense_f32;
+  std::shared_ptr<const linalg::SparseStorage<float>> sparse_f32;
   std::shared_ptr<const std::vector<double>> support_costs;
   std::shared_ptr<const linalg::Matrix> dense_cost;
 

@@ -8,7 +8,6 @@
 #include "linalg/parallel_for.h"
 #include "linalg/simd.h"
 #include "linalg/simd_exp.h"
-#include "linalg/thread_pool.h"
 
 namespace otclean::linalg {
 
@@ -20,11 +19,13 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 /// the shared inner loop of the sparse TransportCost and
 /// SupportTransportCost, written once so the streamed and cached variants
 /// are bit-identical.
-double RowLogCost(const double* costs, const double* vals, const size_t* cols,
+template <typename T>
+double RowLogCost(const double* costs, const T* vals, const size_t* cols,
                   const double* lv, double lu_r, size_t len) {
   double s = 0.0;
   for (size_t k = 0; k < len; ++k) {
-    s += costs[k] * simd::PolyExp(vals[k] + lv[cols[k]] + lu_r);
+    s += costs[k] *
+         simd::PolyExp(static_cast<double>(vals[k]) + lv[cols[k]] + lu_r);
   }
   return s;
 }
@@ -33,72 +34,71 @@ double RowLogCost(const double* costs, const double* vals, const size_t* cols,
 
 // ----------------------------------------------------------------- Dense --
 
-DenseLogTransportKernel::DenseLogTransportKernel(Matrix log_kernel,
-                                                 size_t num_threads,
-                                                 ThreadPool* pool)
-    : DenseLogTransportKernel(
-          std::make_shared<const Matrix>(std::move(log_kernel)), num_threads,
-          pool) {}
+template <typename T>
+DenseLogKernel<T>::DenseLogKernel(Storage log_kernel, size_t num_threads,
+                                  ThreadPool* pool)
+    : DenseLogKernel(std::make_shared<const Storage>(std::move(log_kernel)),
+                     num_threads, pool) {}
 
-DenseLogTransportKernel::DenseLogTransportKernel(
-    std::shared_ptr<const Matrix> log_kernel, size_t num_threads,
-    ThreadPool* pool)
+template <typename T>
+DenseLogKernel<T>::DenseLogKernel(std::shared_ptr<const Storage> log_kernel,
+                                  size_t num_threads, ThreadPool* pool)
     : log_kernel_(std::move(log_kernel)),
       threads_(ResolveThreadCount(num_threads)),
       pool_(pool) {}
 
-DenseLogTransportKernel DenseLogTransportKernel::FromCost(const Matrix& cost,
-                                                          double epsilon,
-                                                          size_t num_threads,
-                                                          ThreadPool* pool) {
-  assert(epsilon > 0.0);
-  Matrix log_kernel(cost.rows(), cost.cols());
-  const double* src = cost.data().data();
-  double* dst = log_kernel.data().data();
-  for (size_t i = 0; i < cost.size(); ++i) dst[i] = -src[i] / epsilon;
-  return DenseLogTransportKernel(std::move(log_kernel), num_threads, pool);
+template <typename T>
+DenseLogKernel<T> DenseLogKernel<T>::FromCost(const Matrix& cost,
+                                              double epsilon,
+                                              size_t num_threads,
+                                              ThreadPool* pool) {
+  return FromCost(MatrixCostProvider(cost), epsilon, num_threads, pool);
 }
 
-DenseLogTransportKernel DenseLogTransportKernel::FromCost(
-    const CostProvider& cost, double epsilon, size_t num_threads,
-    ThreadPool* pool) {
+template <typename T>
+DenseLogKernel<T> DenseLogKernel<T>::FromCost(const CostProvider& cost,
+                                              double epsilon,
+                                              size_t num_threads,
+                                              ThreadPool* pool) {
   assert(epsilon > 0.0);
-  if (const Matrix* dense = cost.AsMatrix()) {
-    return FromCost(*dense, epsilon, num_threads, pool);
-  }
   const size_t m = cost.rows();
   const size_t n = cost.cols();
   Matrix log_kernel(m, n);
   double* dst = log_kernel.data().data();
-  const size_t threads = ResolveThreadCount(num_threads);
-  // Rows are disjoint and the provider is thread-safe for const calls, so
-  // the build parallelizes deterministically; L is filled in place, the
-  // raw cost never exists as a matrix.
-  ParallelFor(
-      m, threads,
-      [&](size_t r0, size_t r1) {
-        for (size_t r = r0; r < r1; ++r) {
-          double* row = dst + r * n;
-          cost.Fill(r, 0, n, row);
-          for (size_t c = 0; c < n; ++c) row[c] = -row[c] / epsilon;
-        }
-      },
-      GrainForWork(n), pool);
-  return DenseLogTransportKernel(std::move(log_kernel), num_threads, pool);
+  if (const Matrix* dense = cost.AsMatrix()) {
+    const double* src = dense->data().data();
+    for (size_t i = 0; i < dense->size(); ++i) dst[i] = -src[i] / epsilon;
+  } else {
+    // Rows are disjoint and the provider is thread-safe for const calls,
+    // so the build parallelizes deterministically; L is filled in place,
+    // the raw cost never exists as a matrix.
+    ParallelFor(
+        m, ResolveThreadCount(num_threads),
+        [&](size_t r0, size_t r1) {
+          for (size_t r = r0; r < r1; ++r) {
+            double* row = dst + r * n;
+            cost.Fill(r, 0, n, row);
+            for (size_t c = 0; c < n; ++c) row[c] = -row[c] / epsilon;
+          }
+        },
+        GrainForWork(n), pool);
+  }
+  return DenseLogKernel(Storage(std::move(log_kernel)), num_threads, pool);
 }
 
-void DenseLogTransportKernel::LogApply(const Vector& lv, Vector& out) const {
-  const size_t m = log_kernel_->rows();
-  const size_t n = log_kernel_->cols();
+template <typename T>
+void DenseLogKernel<T>::LogApply(const Vector& lv, Vector& out) const {
+  const size_t m = rows();
+  const size_t n = cols();
   assert(lv.size() == n);
   if (out.size() != m) out = Vector(m);
-  const double* data = log_kernel_->data().data();
+  const T* data = log_kernel_->data().data();
   const double* lvdata = lv.begin();
   ParallelFor(
       m, threads_,
       [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
-          const double* row = data + r * n;
+          const T* row = data + r * n;
           const double mx = simd::AddMaxReduce(row, lvdata, n);
           out[r] = mx == kNegInf
                        ? kNegInf
@@ -109,13 +109,14 @@ void DenseLogTransportKernel::LogApply(const Vector& lv, Vector& out) const {
       GrainForWork(n), pool_);
 }
 
-void DenseLogTransportKernel::LogApplyTranspose(const Vector& lu,
-                                                Vector& out) const {
-  const size_t m = log_kernel_->rows();
-  const size_t n = log_kernel_->cols();
+template <typename T>
+void DenseLogKernel<T>::LogApplyTranspose(const Vector& lu,
+                                          Vector& out) const {
+  const size_t m = rows();
+  const size_t n = cols();
   assert(lu.size() == m);
   if (out.size() != n) out = Vector(n);
-  const double* data = log_kernel_->data().data();
+  const T* data = log_kernel_->data().data();
   // Column strips, two passes each (max, then shifted exp-sum): every
   // output column accumulates the rows in ascending order with the
   // bit-identical-across-tiers strip accumulators of simd.h, while the
@@ -127,8 +128,7 @@ void DenseLogTransportKernel::LogApplyTranspose(const Vector& lu,
         std::vector<double> mx(std::min(c1 - c0, kCostStreamTileCols));
         std::vector<double> acc(mx.size());
         for (size_t s0 = c0; s0 < c1; s0 += mx.size()) {
-          const size_t s1 = std::min(c1, s0 + mx.size());
-          const size_t w = s1 - s0;
+          const size_t w = std::min(c1, s0 + mx.size()) - s0;
           std::fill(mx.begin(), mx.begin() + w, kNegInf);
           std::fill(acc.begin(), acc.begin() + w, 0.0);
           for (size_t r = 0; r < m; ++r) {
@@ -151,34 +151,35 @@ void DenseLogTransportKernel::LogApplyTranspose(const Vector& lu,
       GrainForWork(m), pool_);
 }
 
-Matrix DenseLogTransportKernel::ScaleToPlan(const Vector& lu,
-                                            const Vector& lv) const {
-  const size_t m = log_kernel_->rows();
-  const size_t n = log_kernel_->cols();
+template <typename T>
+Matrix DenseLogKernel<T>::ScaleToPlan(const Vector& lu,
+                                      const Vector& lv) const {
+  const size_t m = rows();
+  const size_t n = cols();
   assert(lu.size() == m && lv.size() == n);
   Matrix plan(m, n);
-  const double* data = log_kernel_->data().data();
-  const double* lvdata = lv.begin();
+  const T* data = log_kernel_->data().data();
   double* out = plan.data().data();
   ParallelFor(
       m, threads_,
       [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
-          simd::AddExpWrite(lu[r], data + r * n, lvdata, out + r * n, n);
+          simd::AddExpWrite(lu[r], data + r * n, lv.begin(), out + r * n, n);
         }
       },
       GrainForWork(n), pool_);
   return plan;
 }
 
-double DenseLogTransportKernel::TransportCost(const CostProvider& cost,
-                                              const Vector& lu,
-                                              const Vector& lv) const {
-  const size_t m = log_kernel_->rows();
-  const size_t n = log_kernel_->cols();
+template <typename T>
+double DenseLogKernel<T>::TransportCost(const CostProvider& cost,
+                                        const Vector& lu,
+                                        const Vector& lv) const {
+  const size_t m = rows();
+  const size_t n = cols();
   assert(cost.rows() == m && cost.cols() == n);
   assert(lu.size() == m && lv.size() == n);
-  const double* data = log_kernel_->data().data();
+  const T* data = log_kernel_->data().data();
   const double* lvdata = lv.begin();
   const Matrix* dense_cost = cost.AsMatrix();
   return BlockedReduce(
@@ -214,67 +215,70 @@ double DenseLogTransportKernel::TransportCost(const CostProvider& cost,
 
 // ---------------------------------------------------------------- Sparse --
 
-SparseLogTransportKernel::SparseLogTransportKernel(SparseMatrix log_kernel,
-                                                   size_t num_threads,
-                                                   ThreadPool* pool)
-    : SparseLogTransportKernel(
-          std::make_shared<const SparseKernelStorage>(std::move(log_kernel)),
-          num_threads, pool) {}
+template <typename T>
+SparseLogKernel<T>::SparseLogKernel(const SparseMatrix& log_kernel,
+                                    size_t num_threads, ThreadPool* pool)
+    : SparseLogKernel(std::make_shared<const Storage>(log_kernel),
+                      num_threads, pool) {}
 
-SparseLogTransportKernel::SparseLogTransportKernel(
-    std::shared_ptr<const SparseKernelStorage> storage, size_t num_threads,
-    ThreadPool* pool)
+template <typename T>
+SparseLogKernel<T>::SparseLogKernel(std::shared_ptr<const Storage> storage,
+                                    size_t num_threads, ThreadPool* pool)
     : storage_(std::move(storage)),
       threads_(ResolveThreadCount(num_threads)),
       pool_(pool) {}
 
-SparseLogTransportKernel SparseLogTransportKernel::FromCost(
-    const Matrix& cost, double epsilon, double cutoff, size_t num_threads,
-    ThreadPool* pool) {
+template <typename T>
+SparseLogKernel<T> SparseLogKernel<T>::FromCost(const Matrix& cost,
+                                                double epsilon, double cutoff,
+                                                size_t num_threads,
+                                                ThreadPool* pool) {
   return FromCost(MatrixCostProvider(cost), epsilon, cutoff, num_threads,
                   pool);
 }
 
-SparseLogTransportKernel SparseLogTransportKernel::FromCost(
-    const CostProvider& cost, double epsilon, double cutoff,
-    size_t num_threads, ThreadPool* pool) {
+template <typename T>
+SparseLogKernel<T> SparseLogKernel<T>::FromCost(const CostProvider& cost,
+                                                double epsilon, double cutoff,
+                                                size_t num_threads,
+                                                ThreadPool* pool) {
   assert(epsilon > 0.0);
-  return SparseLogTransportKernel(
-      SparseMatrix::LogGibbsKernel(cost, epsilon, cutoff), num_threads, pool);
+  return SparseLogKernel(SparseMatrix::LogGibbsKernel(cost, epsilon, cutoff),
+                         num_threads, pool);
 }
 
-void SparseLogTransportKernel::LogApply(const Vector& lv, Vector& out) const {
-  const size_t m = kern().rows();
-  assert(lv.size() == kern().cols());
+template <typename T>
+void SparseLogKernel<T>::LogApply(const Vector& lv, Vector& out) const {
+  const Storage& s = *storage_;
+  const size_t m = s.rows;
+  assert(lv.size() == s.cols);
   if (out.size() != m) out = Vector(m);
-  const auto& row_ptr = kern().row_ptr();
-  const size_t* cols = kern().col_index().data();
-  const double* values = kern().values().data();
   const double* lvdata = lv.begin();
   ParallelFor(
       m, threads_,
       [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
-          const size_t k0 = row_ptr[r];
-          const size_t len = row_ptr[r + 1] - k0;
-          const double mx =
-              simd::GatherAddMaxReduce(values + k0, cols + k0, lvdata, len);
+          const size_t k0 = s.row_ptr[r];
+          const size_t len = s.row_ptr[r + 1] - k0;
+          const T* vals = s.values.data() + k0;
+          const size_t* cols = s.col_index.data() + k0;
+          const double mx = simd::GatherAddMaxReduce(vals, cols, lvdata, len);
           out[r] = mx == kNegInf
                        ? kNegInf
                        : mx + std::log(simd::GatherAddExpSumShifted(
-                                 values + k0, cols + k0, lvdata, mx, len));
+                                 vals, cols, lvdata, mx, len));
         }
       },
-      GrainForWork(kern().nnz() / (m == 0 ? 1 : m)), pool_);
+      GrainForWork(s.nnz() / (m == 0 ? 1 : m)), pool_);
 }
 
-void SparseLogTransportKernel::LogApplyTranspose(const Vector& lu,
-                                                 Vector& out) const {
-  const size_t n = kern().cols();
-  assert(lu.size() == kern().rows());
+template <typename T>
+void SparseLogKernel<T>::LogApplyTranspose(const Vector& lu,
+                                           Vector& out) const {
+  const Storage& s = *storage_;
+  const size_t n = s.cols;
+  assert(lu.size() == s.rows);
   if (out.size() != n) out = Vector(n);
-  const double* csc_values = csc().values.data();
-  const size_t* rows = csc().row_index.data();
   const double* ludata = lu.begin();
   // Each output column is owned by one worker and reduced over the CSC
   // mirror — empty columns (truncated away entirely) come out −inf.
@@ -282,137 +286,118 @@ void SparseLogTransportKernel::LogApplyTranspose(const Vector& lu,
       n, threads_,
       [&](size_t c0, size_t c1) {
         for (size_t c = c0; c < c1; ++c) {
-          const size_t k0 = csc().col_ptr[c];
-          const size_t len = csc().col_ptr[c + 1] - k0;
-          const double mx =
-              simd::GatherAddMaxReduce(csc_values + k0, rows + k0, ludata,
-                                       len);
+          const size_t k0 = s.col_ptr[c];
+          const size_t len = s.col_ptr[c + 1] - k0;
+          const T* vals = s.csc_values.data() + k0;
+          const size_t* rows = s.csc_row_index.data() + k0;
+          const double mx = simd::GatherAddMaxReduce(vals, rows, ludata, len);
           out[c] = mx == kNegInf
                        ? kNegInf
                        : mx + std::log(simd::GatherAddExpSumShifted(
-                                 csc_values + k0, rows + k0, ludata, mx,
-                                 len));
+                                 vals, rows, ludata, mx, len));
         }
       },
-      GrainForWork(kern().nnz() / (n == 0 ? 1 : n)), pool_);
+      GrainForWork(s.nnz() / (n == 0 ? 1 : n)), pool_);
 }
 
-Matrix SparseLogTransportKernel::ScaleToPlan(const Vector& lu,
-                                             const Vector& lv) const {
-  const size_t m = kern().rows();
-  const size_t n = kern().cols();
-  assert(lu.size() == m && lv.size() == n);
-  Matrix plan(m, n, 0.0);
-  const auto& row_ptr = kern().row_ptr();
-  const auto& col_index = kern().col_index();
-  const auto& values = kern().values();
+template <typename T>
+Matrix SparseLogKernel<T>::ScaleToPlan(const Vector& lu,
+                                       const Vector& lv) const {
+  const Storage& s = *storage_;
+  assert(lu.size() == s.rows && lv.size() == s.cols);
+  Matrix plan(s.rows, s.cols, 0.0);
   ParallelFor(
-      m, threads_,
+      s.rows, threads_,
       [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
           const double lur = lu[r];
-          for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+          for (size_t k = s.row_ptr[r]; k < s.row_ptr[r + 1]; ++k) {
             // Same (L + lv) + lu association as the dense AddExpWrite, so
             // cutoff-zero sparse plans match dense ones bit for bit.
-            plan(r, col_index[k]) =
-                simd::PolyExp(values[k] + lv[col_index[k]] + lur);
+            const size_t c = s.col_index[k];
+            plan(r, c) =
+                simd::PolyExp(static_cast<double>(s.values[k]) + lv[c] + lur);
           }
         }
       },
-      GrainForWork(kern().nnz() / (m == 0 ? 1 : m)), pool_);
+      GrainForWork(s.nnz() / (s.rows == 0 ? 1 : s.rows)), pool_);
   return plan;
 }
 
-SparseMatrix SparseLogTransportKernel::ScaleToPlanSparse(
-    const Vector& lu, const Vector& lv) const {
-  assert(lu.size() == kern().rows() && lv.size() == kern().cols());
-  SparseMatrix plan = kern();
-  const auto& row_ptr = kern().row_ptr();
-  const size_t* cols = kern().col_index().data();
-  const double* values = kern().values().data();
-  double* out = plan.values().data();
-  const size_t m = kern().rows();
+template <typename T>
+SparseMatrix SparseLogKernel<T>::ScaleToPlanSparse(const Vector& lu,
+                                                   const Vector& lv) const {
+  const Storage& s = *storage_;
+  assert(lu.size() == s.rows && lv.size() == s.cols);
+  std::vector<double> out(s.nnz());
   ParallelFor(
-      m, threads_,
+      s.rows, threads_,
       [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
           const double lur = lu[r];
-          for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-            out[k] = simd::PolyExp(values[k] + lv[cols[k]] + lur);
+          for (size_t k = s.row_ptr[r]; k < s.row_ptr[r + 1]; ++k) {
+            out[k] = simd::PolyExp(static_cast<double>(s.values[k]) +
+                                   lv[s.col_index[k]] + lur);
           }
         }
       },
-      GrainForWork(kern().nnz() / (m == 0 ? 1 : m)), pool_);
-  return plan;
+      GrainForWork(s.nnz() / (s.rows == 0 ? 1 : s.rows)), pool_);
+  return SparseMatrix::FromParts(s.rows, s.cols, s.row_ptr, s.col_index,
+                                 std::move(out));
 }
 
-std::vector<double> SparseLogTransportKernel::GatherSupportCosts(
-    const CostProvider& cost) const {
-  assert(cost.rows() == kern().rows() &&
-         cost.cols() == kern().cols());
-  const auto& row_ptr = kern().row_ptr();
-  const size_t* cols = kern().col_index().data();
-  std::vector<double> out(kern().nnz());
-  for (size_t r = 0; r < kern().rows(); ++r) {
-    const size_t k0 = row_ptr[r];
-    cost.Gather(r, cols + k0, row_ptr[r + 1] - k0, out.data() + k0);
-  }
-  return out;
-}
-
-double SparseLogTransportKernel::SupportTransportCost(
+template <typename T>
+double SparseLogKernel<T>::SupportTransportCost(
     const std::vector<double>& support_costs, const Vector& lu,
     const Vector& lv) const {
-  const size_t m = kern().rows();
-  assert(support_costs.size() == kern().nnz());
-  assert(lu.size() == m && lv.size() == kern().cols());
-  const auto& row_ptr = kern().row_ptr();
-  const size_t* cols = kern().col_index().data();
-  const double* values = kern().values().data();
-  const double* costs = support_costs.data();
-  const double* lvdata = lv.begin();
+  const Storage& s = *storage_;
+  assert(support_costs.size() == s.nnz());
+  assert(lu.size() == s.rows && lv.size() == s.cols);
   return BlockedReduce(
-      m, threads_,
+      s.rows, threads_,
       [&](size_t r0, size_t r1) {
-        double s = 0.0;
+        double sum = 0.0;
         for (size_t r = r0; r < r1; ++r) {
           if (lu[r] == kNegInf) continue;
-          const size_t k0 = row_ptr[r];
-          s += RowLogCost(costs + k0, values + k0, cols + k0, lvdata, lu[r],
-                          row_ptr[r + 1] - k0);
+          const size_t k0 = s.row_ptr[r];
+          sum += RowLogCost(support_costs.data() + k0, s.values.data() + k0,
+                            s.col_index.data() + k0, lv.begin(), lu[r],
+                            s.row_ptr[r + 1] - k0);
         }
-        return s;
+        return sum;
       },
       pool_);
 }
 
-double SparseLogTransportKernel::TransportCost(const CostProvider& cost,
-                                               const Vector& lu,
-                                               const Vector& lv) const {
-  const size_t m = kern().rows();
-  assert(cost.rows() == m && cost.cols() == kern().cols());
-  assert(lu.size() == m && lv.size() == kern().cols());
-  const auto& row_ptr = kern().row_ptr();
-  const size_t* cols = kern().col_index().data();
-  const double* values = kern().values().data();
-  const double* lvdata = lv.begin();
+template <typename T>
+double SparseLogKernel<T>::TransportCost(const CostProvider& cost,
+                                         const Vector& lu,
+                                         const Vector& lv) const {
+  const Storage& s = *storage_;
+  assert(cost.rows() == s.rows && cost.cols() == s.cols);
+  assert(lu.size() == s.rows && lv.size() == s.cols);
   // O(nnz) cost evaluations at the kernel's support, per-block scratch.
   return BlockedReduce(
-      m, threads_,
+      s.rows, threads_,
       [&](size_t r0, size_t r1) {
-        std::vector<double> crow(csc().max_row_nnz);
-        double s = 0.0;
+        std::vector<double> crow(s.max_row_nnz);
+        double sum = 0.0;
         for (size_t r = r0; r < r1; ++r) {
           if (lu[r] == kNegInf) continue;
-          const size_t k0 = row_ptr[r];
-          const size_t len = row_ptr[r + 1] - k0;
-          cost.Gather(r, cols + k0, len, crow.data());
-          s += RowLogCost(crow.data(), values + k0, cols + k0, lvdata, lu[r],
-                          len);
+          const size_t k0 = s.row_ptr[r];
+          const size_t len = s.row_ptr[r + 1] - k0;
+          cost.Gather(r, s.col_index.data() + k0, len, crow.data());
+          sum += RowLogCost(crow.data(), s.values.data() + k0,
+                            s.col_index.data() + k0, lv.begin(), lu[r], len);
         }
-        return s;
+        return sum;
       },
       pool_);
 }
+
+template class DenseLogKernel<double>;
+template class DenseLogKernel<float>;
+template class SparseLogKernel<double>;
+template class SparseLogKernel<float>;
 
 }  // namespace otclean::linalg

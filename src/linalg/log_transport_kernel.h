@@ -40,7 +40,7 @@ class ThreadPool;
 /// Threading and determinism mirror TransportKernel: primitives run
 /// row-blocked (column-blocked for the transpose) on ParallelFor with
 /// owned output ranges, dispatching on the same borrowed ThreadPool, so
-/// pooled/spawned/serial runs at any thread count are bit-identical. The
+/// pooled and inline runs at any thread count are bit-identical. The
 /// SIMD layer's log-domain contract (simd.h) adds: max passes are
 /// bit-identical across every tier, exp-sums differ only by lane-sum
 /// rounding, and every tier evaluates one shared e^x polynomial
@@ -69,29 +69,30 @@ class LogTransportKernel {
                                const Vector& lv) const = 0;
 };
 
-/// Dense row-major storage of L = −C/ε.
-class DenseLogTransportKernel final : public LogTransportKernel {
+/// Dense row-major storage of L = −C/ε at scalar T; every LSE accumulates
+/// in double.
+template <typename T>
+class DenseLogKernel final : public LogTransportKernel {
  public:
+  using Storage = DenseStorage<T>;
+
   /// Wraps an already-built log-kernel matrix (entries −C/ε).
-  explicit DenseLogTransportKernel(Matrix log_kernel, size_t num_threads = 0,
-                                   ThreadPool* pool = nullptr);
+  explicit DenseLogKernel(Storage log_kernel, size_t num_threads = 0,
+                          ThreadPool* pool = nullptr);
 
   /// Shares an immutable storage built elsewhere (no copy, no rebuild).
-  explicit DenseLogTransportKernel(std::shared_ptr<const Matrix> log_kernel,
-                                   size_t num_threads = 0,
-                                   ThreadPool* pool = nullptr);
+  explicit DenseLogKernel(std::shared_ptr<const Storage> log_kernel,
+                          size_t num_threads = 0, ThreadPool* pool = nullptr);
 
-  /// Builds L = −C/ε from a dense cost.
-  static DenseLogTransportKernel FromCost(const Matrix& cost, double epsilon,
-                                          size_t num_threads = 0,
-                                          ThreadPool* pool = nullptr);
-
-  /// Same, streaming the provider tile-by-tile into L — the raw cost
-  /// matrix is never materialized (only L is, it being the dense backing).
-  static DenseLogTransportKernel FromCost(const CostProvider& cost,
-                                          double epsilon,
-                                          size_t num_threads = 0,
-                                          ThreadPool* pool = nullptr);
+  /// Builds L = −C/ε (in f64, then narrowed), streaming the provider
+  /// tile-by-tile into L — the raw cost matrix is never materialized (only
+  /// L is, it being the dense backing).
+  static DenseLogKernel FromCost(const CostProvider& cost, double epsilon,
+                                 size_t num_threads = 0,
+                                 ThreadPool* pool = nullptr);
+  static DenseLogKernel FromCost(const Matrix& cost, double epsilon,
+                                 size_t num_threads = 0,
+                                 ThreadPool* pool = nullptr);
 
   size_t rows() const override { return log_kernel_->rows(); }
   size_t cols() const override { return log_kernel_->cols(); }
@@ -104,52 +105,53 @@ class DenseLogTransportKernel final : public LogTransportKernel {
   double TransportCost(const CostProvider& cost, const Vector& lu,
                        const Vector& lv) const override;
 
-  const Matrix& log_kernel() const { return *log_kernel_; }
+  const Storage& log_kernel() const { return *log_kernel_; }
   /// The underlying storage handle, for sharing (core::SolveCache).
-  const std::shared_ptr<const Matrix>& shared_log_kernel() const {
+  const std::shared_ptr<const Storage>& shared_storage() const {
     return log_kernel_;
   }
 
  private:
-  std::shared_ptr<const Matrix> log_kernel_;
+  std::shared_ptr<const Storage> log_kernel_;
   size_t threads_;
   ThreadPool* pool_;
 };
 
 /// CSR storage of L = −C/ε at a truncation's kept entries — the same
-/// kept-set as the linear SparseTransportKernel at the same cutoff
+/// kept-set as the linear SparseKernel at the same cutoff
 /// (SparseMatrix::LogGibbsKernel), so CheckTruncatedKernelSupport and the
 /// plan's sparsity pattern carry over unchanged. Entries not stored are
 /// −inf ("impossible move"), the log-domain analog of the linear kernel's
-/// structural zeros. Construction builds the shared CscMirror so the
-/// transpose LSE is a deterministic gather.
-class SparseLogTransportKernel final : public LogTransportKernel {
+/// structural zeros. The storage's CSC mirror makes the transpose LSE a
+/// deterministic gather.
+template <typename T>
+class SparseLogKernel final : public LogTransportKernel {
  public:
-  explicit SparseLogTransportKernel(SparseMatrix log_kernel,
-                                    size_t num_threads = 0,
-                                    ThreadPool* pool = nullptr);
+  using Storage = SparseStorage<T>;
+
+  /// Adopts a built f64 CSR log-kernel (narrowed to T).
+  explicit SparseLogKernel(const SparseMatrix& log_kernel,
+                           size_t num_threads = 0,
+                           ThreadPool* pool = nullptr);
 
   /// Shares an immutable storage built elsewhere (no copy, no rebuild —
   /// the CSC mirror comes along for free).
-  explicit SparseLogTransportKernel(
-      std::shared_ptr<const SparseKernelStorage> storage,
-      size_t num_threads = 0, ThreadPool* pool = nullptr);
+  explicit SparseLogKernel(std::shared_ptr<const Storage> storage,
+                           size_t num_threads = 0, ThreadPool* pool = nullptr);
 
   /// Builds the truncated log-kernel from a streamed cost; `cutoff` is in
-  /// *kernel* space exactly as for SparseTransportKernel::FromCost (drop
-  /// where e^{−C/ε} < cutoff), cutoff 0 keeps every entry.
-  static SparseLogTransportKernel FromCost(const CostProvider& cost,
-                                           double epsilon, double cutoff,
-                                           size_t num_threads = 0,
-                                           ThreadPool* pool = nullptr);
-  static SparseLogTransportKernel FromCost(const Matrix& cost, double epsilon,
-                                           double cutoff,
-                                           size_t num_threads = 0,
-                                           ThreadPool* pool = nullptr);
+  /// *kernel* space exactly as for SparseKernel::FromCost (drop where
+  /// e^{−C/ε} < cutoff, decided in double), cutoff 0 keeps every entry.
+  static SparseLogKernel FromCost(const CostProvider& cost, double epsilon,
+                                  double cutoff, size_t num_threads = 0,
+                                  ThreadPool* pool = nullptr);
+  static SparseLogKernel FromCost(const Matrix& cost, double epsilon,
+                                  double cutoff, size_t num_threads = 0,
+                                  ThreadPool* pool = nullptr);
 
-  size_t rows() const override { return kern().rows(); }
-  size_t cols() const override { return kern().cols(); }
-  size_t nnz() const override { return kern().nnz(); }
+  size_t rows() const override { return storage_->rows; }
+  size_t cols() const override { return storage_->cols; }
+  size_t nnz() const override { return storage_->nnz(); }
   size_t num_threads() const override { return threads_; }
 
   void LogApply(const Vector& lv, Vector& out) const override;
@@ -162,30 +164,38 @@ class SparseLogTransportKernel final : public LogTransportKernel {
   /// pattern: values e^{lu_i + L_ik + lv_{col(k)}} (exact 0 below range).
   SparseMatrix ScaleToPlanSparse(const Vector& lu, const Vector& lv) const;
 
-  /// Streams the provider once and returns C at every stored entry,
-  /// aligned with log_kernel().values() — the same O(nnz) outer-loop
-  /// cache contract as SparseTransportKernel::GatherSupportCosts.
-  std::vector<double> GatherSupportCosts(const CostProvider& cost) const;
+  /// C at every stored entry — the same O(nnz) outer-loop cache contract
+  /// as SparseKernel::GatherSupportCosts.
+  std::vector<double> GatherSupportCosts(const CostProvider& cost) const {
+    return storage_->GatherSupportCosts(cost);
+  }
 
   /// TransportCost from a GatherSupportCosts cache; bit-identical to the
   /// streaming CostProvider overload.
   double SupportTransportCost(const std::vector<double>& support_costs,
                               const Vector& lu, const Vector& lv) const;
 
-  const SparseMatrix& log_kernel() const { return kern(); }
   /// The underlying storage handle, for sharing (core::SolveCache).
-  const std::shared_ptr<const SparseKernelStorage>& shared_storage() const {
+  const std::shared_ptr<const Storage>& shared_storage() const {
     return storage_;
   }
 
  private:
-  const SparseMatrix& kern() const { return storage_->matrix; }
-  const CscMirror& csc() const { return storage_->csc; }
-
-  std::shared_ptr<const SparseKernelStorage> storage_;
+  std::shared_ptr<const Storage> storage_;
   size_t threads_;
   ThreadPool* pool_;
 };
+
+extern template class DenseLogKernel<double>;
+extern template class DenseLogKernel<float>;
+extern template class SparseLogKernel<double>;
+extern template class SparseLogKernel<float>;
+
+/// The concrete log-kernel names, one alias per (storage, precision).
+using DenseLogTransportKernel = DenseLogKernel<double>;
+using SparseLogTransportKernel = SparseLogKernel<double>;
+using DenseLogTransportKernelF32 = DenseLogKernel<float>;
+using SparseLogTransportKernelF32 = SparseLogKernel<float>;
 
 }  // namespace otclean::linalg
 

@@ -16,12 +16,12 @@ inline size_t ResolveThreadCount(size_t requested) {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
-/// Minimum per-thread work (loop indices) below which spawning threads
-/// costs more than it saves; ranges smaller than this run inline.
+/// Minimum per-thread work (loop indices) below which dispatching to
+/// workers costs more than it saves; ranges smaller than this run inline.
 inline constexpr size_t kMinParallelGrain = 256;
 
 /// Minimum scalar operations per worker before threading pays for the
-/// spawn/join. Callers whose loop indices carry non-unit work (e.g. one
+/// dispatch. Callers whose loop indices carry non-unit work (e.g. one
 /// matrix row of n multiplies) should derive their grain from this.
 inline constexpr size_t kMinParallelWork = 2048;
 
@@ -33,10 +33,10 @@ inline size_t GrainForWork(size_t work_per_index) {
   return grain == 0 ? 1 : grain;
 }
 
-/// The contiguous-chunk decomposition every ParallelFor execution mode
-/// (spawn-per-call, pooled, serial) derives from. Computing it in exactly
-/// one place is what makes the modes bit-identical: chunk boundaries
-/// depend only on (n, threads, grain), never on who runs the chunks.
+/// The contiguous-chunk decomposition both ParallelFor execution modes
+/// (pooled, inline) derive from. Computing it in exactly one place is what
+/// makes the modes bit-identical: chunk boundaries depend only on
+/// (n, threads, grain), never on who runs the chunks.
 struct ChunkPlan {
   size_t chunk = 0;       ///< indices per chunk (chunk c = [c·chunk, …)).
   size_t num_chunks = 0;  ///< non-empty chunks covering [0, n).
@@ -53,29 +53,38 @@ inline ChunkPlan PlanChunks(size_t n, size_t threads, size_t grain) {
   return plan;
 }
 
-/// Runs `fn(begin, end)` over contiguous chunks of [0, n), one chunk per
-/// worker. `threads` must already be resolved (>= 1); it is capped so no
-/// worker gets less than `grain` indices. Chunks are disjoint, so any op
-/// writing only to its own index range is deterministic regardless of the
-/// thread count.
+class ThreadPool;
+
+/// Runs `chunk_fn(ctx, c)` for every c in [0, num_chunks) on `pool`
+/// (ThreadPool::RunChunks; defined in thread_pool.cc so this header does
+/// not need the pool's definition).
+void RunPoolChunks(ThreadPool* pool, size_t num_chunks,
+                   void (*chunk_fn)(void*, size_t), void* ctx);
+
+/// Runs `fn(begin, end)` over the contiguous chunks of PlanChunks(n,
+/// threads, grain). `threads` must already be resolved (>= 1); it is capped
+/// so no chunk gets less than `grain` indices. With a `pool` (borrowed; see
+/// thread_pool.h) the chunks run on its workers and the calling thread;
+/// with a null pool they run inline on the calling thread, in chunk order.
+/// Chunks are disjoint, so any op writing only to its own index range is
+/// deterministic regardless of the thread count or of who runs the chunks.
 template <typename Fn>
 void ParallelFor(size_t n, size_t threads, Fn&& fn,
-                 size_t grain = kMinParallelGrain) {
+                 size_t grain = kMinParallelGrain, ThreadPool* pool = nullptr) {
   const ChunkPlan plan = PlanChunks(n, threads, grain);
-  if (plan.num_chunks == 0) return;
-  if (plan.num_chunks == 1) {
-    fn(size_t{0}, n);
+  const auto run_chunk = [&](size_t c) {
+    const size_t begin = c * plan.chunk;
+    fn(begin, std::min(n, begin + plan.chunk));
+  };
+  if (pool == nullptr || plan.num_chunks <= 1) {
+    for (size_t c = 0; c < plan.num_chunks; ++c) run_chunk(c);
     return;
   }
-  std::vector<std::thread> workers;
-  workers.reserve(plan.num_chunks - 1);
-  for (size_t c = 1; c < plan.num_chunks; ++c) {
-    const size_t begin = c * plan.chunk;
-    const size_t end = std::min(n, begin + plan.chunk);
-    workers.emplace_back([&fn, begin, end] { fn(begin, end); });
-  }
-  fn(size_t{0}, std::min(n, plan.chunk));
-  for (std::thread& w : workers) w.join();
+  using RunChunk = decltype(run_chunk);
+  RunPoolChunks(
+      pool, plan.num_chunks,
+      [](void* ctx, size_t c) { (*static_cast<const RunChunk*>(ctx))(c); },
+      const_cast<void*>(static_cast<const void*>(&run_chunk)));
 }
 
 /// Rows per reduction block. Fixed independently of the thread count so
@@ -83,37 +92,28 @@ void ParallelFor(size_t n, size_t threads, Fn&& fn,
 /// matter how many threads run — threads=1 and threads=N are bit-identical.
 inline constexpr size_t kReduceBlockRows = 256;
 
-/// The one blocked-reduction recipe every execution mode shares: fixed
-/// kReduceBlockRows-sized blocks, partials combined serially in block
-/// order. `run(num_blocks, fn)` supplies the loop executor (spawned,
-/// pooled, or serial); since neither the block decomposition nor the
-/// accumulation depends on the executor, every mode is bit-compatible.
-template <typename BlockFn, typename RunFn>
-double BlockedReduceWith(size_t n, BlockFn&& block_fn, RunFn&& run) {
+/// Sums `block_fn(begin, end)` over fixed kReduceBlockRows-sized blocks of
+/// [0, n), partials combined serially in block order. Neither the block
+/// decomposition nor the accumulation depends on `threads` or `pool`, so
+/// the result is bit-compatible across thread counts and execution modes.
+template <typename BlockFn>
+double BlockedReduce(size_t n, size_t threads, BlockFn&& block_fn,
+                     ThreadPool* pool = nullptr) {
   if (n == 0) return 0.0;
   const size_t num_blocks = (n + kReduceBlockRows - 1) / kReduceBlockRows;
   std::vector<double> partials(num_blocks, 0.0);
-  run(num_blocks, [&](size_t b_begin, size_t b_end) {
-    for (size_t b = b_begin; b < b_end; ++b) {
-      const size_t begin = b * kReduceBlockRows;
-      const size_t end = std::min(n, begin + kReduceBlockRows);
-      partials[b] = block_fn(begin, end);
-    }
-  });
+  ParallelFor(
+      num_blocks, threads,
+      [&](size_t b_begin, size_t b_end) {
+        for (size_t b = b_begin; b < b_end; ++b) {
+          const size_t begin = b * kReduceBlockRows;
+          partials[b] = block_fn(begin, std::min(n, begin + kReduceBlockRows));
+        }
+      },
+      /*grain=*/1, pool);
   double total = 0.0;
   for (double p : partials) total += p;
   return total;
-}
-
-/// Sums `block_fn(begin, end)` over fixed-size blocks of [0, n). The block
-/// decomposition and the final (serial, block-ordered) accumulation do not
-/// depend on `threads`, so the result is bit-compatible across thread
-/// counts.
-template <typename BlockFn>
-double BlockedReduce(size_t n, size_t threads, BlockFn&& block_fn) {
-  return BlockedReduceWith(n, block_fn, [&](size_t blocks, auto&& fn) {
-    ParallelFor(blocks, threads, fn, /*grain=*/1);
-  });
 }
 
 }  // namespace otclean::linalg

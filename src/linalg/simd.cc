@@ -27,16 +27,25 @@ namespace {
 #define OTCLEAN_NOVEC
 #endif
 
-OTCLEAN_NOVEC double ScalarDot(const double* a, const double* b, size_t n) {
+// Bodies templated over the kernel operand's storage scalar T serve both
+// kernel precisions: a float element widens to double (exactly) before any
+// arithmetic, so the f32 references are the f64 bodies applied to the
+// widened values — the semantics the f32 vector recipes are tested against.
+
+template <typename T>
+OTCLEAN_NOVEC double ScalarDot(const T* a, const double* b, size_t n) {
   double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += a[i] * b[i];
+  for (size_t i = 0; i < n; ++i) s += static_cast<double>(a[i]) * b[i];
   return s;
 }
 
-OTCLEAN_NOVEC double ScalarDot3(const double* a, const double* b,
-                                const double* c, size_t n) {
+template <typename T>
+OTCLEAN_NOVEC double ScalarDot3(const double* a, const T* b, const double* c,
+                                size_t n) {
   double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += (a[i] * b[i]) * c[i];
+  for (size_t i = 0; i < n; ++i) {
+    s += (a[i] * static_cast<double>(b[i])) * c[i];
+  }
   return s;
 }
 
@@ -46,18 +55,22 @@ OTCLEAN_NOVEC double ScalarSum(const double* a, size_t n) {
   return s;
 }
 
-OTCLEAN_NOVEC double ScalarGatherDot(const double* vals, const size_t* idx,
+template <typename T>
+OTCLEAN_NOVEC double ScalarGatherDot(const T* vals, const size_t* idx,
                                      const double* x, size_t n) {
   double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += vals[i] * x[idx[i]];
+  for (size_t i = 0; i < n; ++i) s += static_cast<double>(vals[i]) * x[idx[i]];
   return s;
 }
 
-OTCLEAN_NOVEC double ScalarGatherDot3(const double* a, const double* b,
+template <typename T>
+OTCLEAN_NOVEC double ScalarGatherDot3(const double* a, const T* b,
                                       const size_t* idx, const double* x,
                                       size_t n) {
   double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += (a[i] * b[i]) * x[idx[i]];
+  for (size_t i = 0; i < n; ++i) {
+    s += (a[i] * static_cast<double>(b[i])) * x[idx[i]];
+  }
   return s;
 }
 
@@ -66,7 +79,8 @@ OTCLEAN_NOVEC void ScalarAxpy(double c, const double* a, double* y,
   for (size_t i = 0; i < n; ++i) y[i] += c * a[i];
 }
 
-OTCLEAN_NOVEC void ScalarAxpyRows(const double* coeffs, const double* base,
+template <typename T>
+OTCLEAN_NOVEC void ScalarAxpyRows(const double* coeffs, const T* base,
                                   size_t row_stride, size_t num_rows,
                                   double* y, size_t n) {
   // Plain row-at-a-time sweep — the seed's ApplyTranspose inner loop, and
@@ -75,8 +89,8 @@ OTCLEAN_NOVEC void ScalarAxpyRows(const double* coeffs, const double* base,
   for (size_t r = 0; r < num_rows; ++r) {
     const double c = coeffs[r];
     if (c == 0.0) continue;  // zero rows are skipped in every tier (simd.h)
-    const double* a = base + r * row_stride;
-    for (size_t i = 0; i < n; ++i) y[i] += c * a[i];
+    const T* a = base + r * row_stride;
+    for (size_t i = 0; i < n; ++i) y[i] += c * static_cast<double>(a[i]);
   }
 }
 
@@ -85,17 +99,22 @@ OTCLEAN_NOVEC void ScalarHadamard(const double* a, const double* b,
   for (size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
 
-OTCLEAN_NOVEC void ScalarScaledHadamard(double s, const double* a,
-                                        const double* b, double* out,
-                                        size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = (s * a[i]) * b[i];
+template <typename T>
+OTCLEAN_NOVEC void ScalarScaledHadamard(double s, const T* a, const double* b,
+                                        double* out, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = (s * static_cast<double>(a[i])) * b[i];
+  }
 }
 
-OTCLEAN_NOVEC void ScalarGatherScaledHadamard(double s, const double* vals,
+template <typename T>
+OTCLEAN_NOVEC void ScalarGatherScaledHadamard(double s, const T* vals,
                                               const size_t* idx,
                                               const double* x, double* out,
                                               size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = (s * vals[i]) * x[idx[i]];
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = (s * static_cast<double>(vals[i])) * x[idx[i]];
+  }
 }
 
 // Log-domain scalar tier: one element at a time through the shared
@@ -109,22 +128,24 @@ OTCLEAN_NOVEC double ScalarMaxReduce(const double* a, size_t n) {
   return r;
 }
 
-OTCLEAN_NOVEC double ScalarAddMaxReduce(const double* a, const double* b,
+template <typename T>
+OTCLEAN_NOVEC double ScalarAddMaxReduce(const T* a, const double* b,
                                         size_t n) {
   double r = -std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < n; ++i) {
-    const double t = a[i] + b[i];
+    const double t = static_cast<double>(a[i]) + b[i];
     r = t > r ? t : r;
   }
   return r;
 }
 
-OTCLEAN_NOVEC double ScalarGatherAddMaxReduce(const double* vals,
+template <typename T>
+OTCLEAN_NOVEC double ScalarGatherAddMaxReduce(const T* vals,
                                               const size_t* idx,
                                               const double* x, size_t n) {
   double r = -std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < n; ++i) {
-    const double t = vals[i] + x[idx[i]];
+    const double t = static_cast<double>(vals[i]) + x[idx[i]];
     r = t > r ? t : r;
   }
   return r;
@@ -137,118 +158,9 @@ OTCLEAN_NOVEC double ScalarExpSumShifted(const double* a, double shift,
   return s;
 }
 
-OTCLEAN_NOVEC double ScalarAddExpSumShifted(const double* a, const double* b,
+template <typename T>
+OTCLEAN_NOVEC double ScalarAddExpSumShifted(const T* a, const double* b,
                                             double shift, size_t n) {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += PolyExp(a[i] + b[i] - shift);
-  return s;
-}
-
-OTCLEAN_NOVEC double ScalarGatherAddExpSumShifted(const double* vals,
-                                                  const size_t* idx,
-                                                  const double* x,
-                                                  double shift, size_t n) {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += PolyExp(vals[i] + x[idx[i]] - shift);
-  return s;
-}
-
-OTCLEAN_NOVEC void ScalarAddMaxAccumulate(double c, const double* a,
-                                          double* mx, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const double t = a[i] + c;
-    if (t > mx[i]) mx[i] = t;
-  }
-}
-
-OTCLEAN_NOVEC void ScalarAddExpSumAccumulate(double c, const double* a,
-                                             const double* shift, double* acc,
-                                             size_t n) {
-  for (size_t i = 0; i < n; ++i) acc[i] += PolyExp(a[i] + c - shift[i]);
-}
-
-OTCLEAN_NOVEC void ScalarAddExpWrite(double shift, const double* a,
-                                     const double* b, double* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = PolyExp(a[i] + b[i] + shift);
-}
-
-// f32 kernel-tier scalar reference: each float widens to double (exactly)
-// before any arithmetic, so these are the f64 scalar bodies applied to the
-// widened values — the semantics the f32 vector recipes are tested against.
-
-OTCLEAN_NOVEC double ScalarDotF32(const float* a, const double* b, size_t n) {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += static_cast<double>(a[i]) * b[i];
-  return s;
-}
-
-OTCLEAN_NOVEC double ScalarDot3F32(const double* a, const float* b,
-                                   const double* c, size_t n) {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    s += (a[i] * static_cast<double>(b[i])) * c[i];
-  }
-  return s;
-}
-
-OTCLEAN_NOVEC double ScalarGatherDotF32(const float* vals, const size_t* idx,
-                                        const double* x, size_t n) {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += static_cast<double>(vals[i]) * x[idx[i]];
-  return s;
-}
-
-OTCLEAN_NOVEC double ScalarGatherDot3F32(const double* a, const float* b,
-                                         const size_t* idx, const double* x,
-                                         size_t n) {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    s += (a[i] * static_cast<double>(b[i])) * x[idx[i]];
-  }
-  return s;
-}
-
-OTCLEAN_NOVEC void ScalarAxpyRowsF32(const double* coeffs, const float* base,
-                                     size_t row_stride, size_t num_rows,
-                                     double* y, size_t n) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    const double c = coeffs[r];
-    if (c == 0.0) continue;  // zero rows are skipped in every tier (simd.h)
-    const float* a = base + r * row_stride;
-    for (size_t i = 0; i < n; ++i) y[i] += c * static_cast<double>(a[i]);
-  }
-}
-
-OTCLEAN_NOVEC void ScalarScaledHadamardF32(double s, const float* a,
-                                           const double* b, double* out,
-                                           size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = (s * static_cast<double>(a[i])) * b[i];
-  }
-}
-
-OTCLEAN_NOVEC void ScalarGatherScaledHadamardF32(double s, const float* vals,
-                                                 const size_t* idx,
-                                                 const double* x, double* out,
-                                                 size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = (s * static_cast<double>(vals[i])) * x[idx[i]];
-  }
-}
-
-OTCLEAN_NOVEC double ScalarAddMaxReduceF32(const float* a, const double* b,
-                                           size_t n) {
-  double r = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(a[i]) + b[i];
-    r = t > r ? t : r;
-  }
-  return r;
-}
-
-OTCLEAN_NOVEC double ScalarAddExpSumShiftedF32(const float* a,
-                                               const double* b, double shift,
-                                               size_t n) {
   double s = 0.0;
   for (size_t i = 0; i < n; ++i) {
     s += PolyExp(static_cast<double>(a[i]) + b[i] - shift);
@@ -256,21 +168,11 @@ OTCLEAN_NOVEC double ScalarAddExpSumShiftedF32(const float* a,
   return s;
 }
 
-OTCLEAN_NOVEC double ScalarGatherAddMaxReduceF32(const float* vals,
-                                                 const size_t* idx,
-                                                 const double* x, size_t n) {
-  double r = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(vals[i]) + x[idx[i]];
-    r = t > r ? t : r;
-  }
-  return r;
-}
-
-OTCLEAN_NOVEC double ScalarGatherAddExpSumShiftedF32(const float* vals,
-                                                     const size_t* idx,
-                                                     const double* x,
-                                                     double shift, size_t n) {
+template <typename T>
+OTCLEAN_NOVEC double ScalarGatherAddExpSumShifted(const T* vals,
+                                                  const size_t* idx,
+                                                  const double* x,
+                                                  double shift, size_t n) {
   double s = 0.0;
   for (size_t i = 0; i < n; ++i) {
     s += PolyExp(static_cast<double>(vals[i]) + x[idx[i]] - shift);
@@ -278,25 +180,27 @@ OTCLEAN_NOVEC double ScalarGatherAddExpSumShiftedF32(const float* vals,
   return s;
 }
 
-OTCLEAN_NOVEC void ScalarAddMaxAccumulateF32(double c, const float* a,
-                                             double* mx, size_t n) {
+template <typename T>
+OTCLEAN_NOVEC void ScalarAddMaxAccumulate(double c, const T* a, double* mx,
+                                          size_t n) {
   for (size_t i = 0; i < n; ++i) {
     const double t = static_cast<double>(a[i]) + c;
     if (t > mx[i]) mx[i] = t;
   }
 }
 
-OTCLEAN_NOVEC void ScalarAddExpSumAccumulateF32(double c, const float* a,
-                                                const double* shift,
-                                                double* acc, size_t n) {
+template <typename T>
+OTCLEAN_NOVEC void ScalarAddExpSumAccumulate(double c, const T* a,
+                                             const double* shift, double* acc,
+                                             size_t n) {
   for (size_t i = 0; i < n; ++i) {
     acc[i] += PolyExp(static_cast<double>(a[i]) + c - shift[i]);
   }
 }
 
-OTCLEAN_NOVEC void ScalarAddExpWriteF32(double shift, const float* a,
-                                        const double* b, double* out,
-                                        size_t n) {
+template <typename T>
+OTCLEAN_NOVEC void ScalarAddExpWrite(double shift, const T* a,
+                                     const double* b, double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = PolyExp(static_cast<double>(a[i]) + b[i] + shift);
   }
@@ -400,39 +304,39 @@ namespace detail {
 const SimdOps* GetScalarOps() {
   static const SimdOps ops = [] {
     SimdOps o;
-    o.dot = ScalarDot;
-    o.dot3 = ScalarDot3;
+    o.dot = ScalarDot<double>;
+    o.dot3 = ScalarDot3<double>;
     o.sum = ScalarSum;
-    o.gather_dot = ScalarGatherDot;
-    o.gather_dot3 = ScalarGatherDot3;
+    o.gather_dot = ScalarGatherDot<double>;
+    o.gather_dot3 = ScalarGatherDot3<double>;
     o.axpy = ScalarAxpy;
-    o.axpy_rows = ScalarAxpyRows;
+    o.axpy_rows = ScalarAxpyRows<double>;
     o.hadamard = ScalarHadamard;
-    o.scaled_hadamard = ScalarScaledHadamard;
-    o.gather_scaled_hadamard = ScalarGatherScaledHadamard;
+    o.scaled_hadamard = ScalarScaledHadamard<double>;
+    o.gather_scaled_hadamard = ScalarGatherScaledHadamard<double>;
     o.max_reduce = ScalarMaxReduce;
-    o.add_max_reduce = ScalarAddMaxReduce;
-    o.gather_add_max_reduce = ScalarGatherAddMaxReduce;
+    o.add_max_reduce = ScalarAddMaxReduce<double>;
+    o.gather_add_max_reduce = ScalarGatherAddMaxReduce<double>;
     o.exp_sum_shifted = ScalarExpSumShifted;
-    o.add_exp_sum_shifted = ScalarAddExpSumShifted;
-    o.gather_add_exp_sum_shifted = ScalarGatherAddExpSumShifted;
-    o.add_max_accumulate = ScalarAddMaxAccumulate;
-    o.add_exp_sum_accumulate = ScalarAddExpSumAccumulate;
-    o.add_exp_write = ScalarAddExpWrite;
-    o.dot_f32 = ScalarDotF32;
-    o.dot3_f32 = ScalarDot3F32;
-    o.gather_dot_f32 = ScalarGatherDotF32;
-    o.gather_dot3_f32 = ScalarGatherDot3F32;
-    o.axpy_rows_f32 = ScalarAxpyRowsF32;
-    o.scaled_hadamard_f32 = ScalarScaledHadamardF32;
-    o.gather_scaled_hadamard_f32 = ScalarGatherScaledHadamardF32;
-    o.add_max_reduce_f32 = ScalarAddMaxReduceF32;
-    o.add_exp_sum_shifted_f32 = ScalarAddExpSumShiftedF32;
-    o.gather_add_max_reduce_f32 = ScalarGatherAddMaxReduceF32;
-    o.gather_add_exp_sum_shifted_f32 = ScalarGatherAddExpSumShiftedF32;
-    o.add_max_accumulate_f32 = ScalarAddMaxAccumulateF32;
-    o.add_exp_sum_accumulate_f32 = ScalarAddExpSumAccumulateF32;
-    o.add_exp_write_f32 = ScalarAddExpWriteF32;
+    o.add_exp_sum_shifted = ScalarAddExpSumShifted<double>;
+    o.gather_add_exp_sum_shifted = ScalarGatherAddExpSumShifted<double>;
+    o.add_max_accumulate = ScalarAddMaxAccumulate<double>;
+    o.add_exp_sum_accumulate = ScalarAddExpSumAccumulate<double>;
+    o.add_exp_write = ScalarAddExpWrite<double>;
+    o.dot_f32 = ScalarDot<float>;
+    o.dot3_f32 = ScalarDot3<float>;
+    o.gather_dot_f32 = ScalarGatherDot<float>;
+    o.gather_dot3_f32 = ScalarGatherDot3<float>;
+    o.axpy_rows_f32 = ScalarAxpyRows<float>;
+    o.scaled_hadamard_f32 = ScalarScaledHadamard<float>;
+    o.gather_scaled_hadamard_f32 = ScalarGatherScaledHadamard<float>;
+    o.add_max_reduce_f32 = ScalarAddMaxReduce<float>;
+    o.add_exp_sum_shifted_f32 = ScalarAddExpSumShifted<float>;
+    o.gather_add_max_reduce_f32 = ScalarGatherAddMaxReduce<float>;
+    o.gather_add_exp_sum_shifted_f32 = ScalarGatherAddExpSumShifted<float>;
+    o.add_max_accumulate_f32 = ScalarAddMaxAccumulate<float>;
+    o.add_exp_sum_accumulate_f32 = ScalarAddExpSumAccumulate<float>;
+    o.add_exp_write_f32 = ScalarAddExpWrite<float>;
     return o;
   }();
   return &ops;
@@ -515,6 +419,17 @@ double GatherDot3(const double* a, const double* b, const size_t* idx,
   return Active().gather_dot3(a, b, idx, x, n);
 }
 
+double GatherDotColumn(const double* vals, const size_t* idx, const double* x,
+                       size_t n) {
+  return GatherDotSequential(vals, idx, x, n);
+}
+
+template <typename T, FloatOnly<T>>
+double GatherDotColumn(const T* vals, const size_t* idx, const double* x,
+                       size_t n) {
+  return Active().gather_dot_f32(vals, idx, x, n);
+}
+
 void Axpy(double c, const double* a, double* y, size_t n) {
   Active().axpy(c, a, y, n);
 }
@@ -579,70 +494,108 @@ void AddExpWrite(double shift, const double* a, const double* b, double* out,
   Active().add_exp_write(shift, a, b, out, n);
 }
 
-double DotF32(const float* a, const double* b, size_t n) {
+template <typename T, FloatOnly<T>>
+double Dot(const T* a, const double* b, size_t n) {
   return Active().dot_f32(a, b, n);
 }
 
-double Dot3F32(const double* a, const float* b, const double* c, size_t n) {
+template <typename T, FloatOnly<T>>
+double Dot3(const double* a, const T* b, const double* c, size_t n) {
   return Active().dot3_f32(a, b, c, n);
 }
 
-double GatherDotF32(const float* vals, const size_t* idx, const double* x,
-                    size_t n) {
+template <typename T, FloatOnly<T>>
+double GatherDot(const T* vals, const size_t* idx, const double* x, size_t n) {
   return Active().gather_dot_f32(vals, idx, x, n);
 }
 
-double GatherDot3F32(const double* a, const float* b, const size_t* idx,
-                     const double* x, size_t n) {
+template <typename T, FloatOnly<T>>
+double GatherDot3(const double* a, const T* b, const size_t* idx,
+                  const double* x, size_t n) {
   return Active().gather_dot3_f32(a, b, idx, x, n);
 }
 
-void AxpyRowsF32(const double* coeffs, const float* base, size_t row_stride,
-                 size_t num_rows, double* y, size_t n) {
+template <typename T, FloatOnly<T>>
+void AxpyRows(const double* coeffs, const T* base, size_t row_stride,
+              size_t num_rows, double* y, size_t n) {
   Active().axpy_rows_f32(coeffs, base, row_stride, num_rows, y, n);
 }
 
-void ScaledHadamardF32(double s, const float* a, const double* b, double* out,
-                       size_t n) {
+template <typename T, FloatOnly<T>>
+void ScaledHadamard(double s, const T* a, const double* b, double* out,
+                    size_t n) {
   Active().scaled_hadamard_f32(s, a, b, out, n);
 }
 
-void GatherScaledHadamardF32(double s, const float* vals, const size_t* idx,
-                             const double* x, double* out, size_t n) {
+template <typename T, FloatOnly<T>>
+void GatherScaledHadamard(double s, const T* vals, const size_t* idx,
+                          const double* x, double* out, size_t n) {
   Active().gather_scaled_hadamard_f32(s, vals, idx, x, out, n);
 }
 
-double AddMaxReduceF32(const float* a, const double* b, size_t n) {
+template <typename T, FloatOnly<T>>
+double AddMaxReduce(const T* a, const double* b, size_t n) {
   return Active().add_max_reduce_f32(a, b, n);
 }
 
-double AddExpSumShiftedF32(const float* a, const double* b, double shift,
-                           size_t n) {
+template <typename T, FloatOnly<T>>
+double AddExpSumShifted(const T* a, const double* b, double shift, size_t n) {
   return Active().add_exp_sum_shifted_f32(a, b, shift, n);
 }
 
-double GatherAddMaxReduceF32(const float* vals, const size_t* idx,
-                             const double* x, size_t n) {
+template <typename T, FloatOnly<T>>
+double GatherAddMaxReduce(const T* vals, const size_t* idx, const double* x,
+                          size_t n) {
   return Active().gather_add_max_reduce_f32(vals, idx, x, n);
 }
 
-double GatherAddExpSumShiftedF32(const float* vals, const size_t* idx,
-                                 const double* x, double shift, size_t n) {
+template <typename T, FloatOnly<T>>
+double GatherAddExpSumShifted(const T* vals, const size_t* idx, const double* x,
+                              double shift, size_t n) {
   return Active().gather_add_exp_sum_shifted_f32(vals, idx, x, shift, n);
 }
 
-void AddMaxAccumulateF32(double c, const float* a, double* mx, size_t n) {
+template <typename T, FloatOnly<T>>
+void AddMaxAccumulate(double c, const T* a, double* mx, size_t n) {
   Active().add_max_accumulate_f32(c, a, mx, n);
 }
 
-void AddExpSumAccumulateF32(double c, const float* a, const double* shift,
-                            double* acc, size_t n) {
+template <typename T, FloatOnly<T>>
+void AddExpSumAccumulate(double c, const T* a, const double* shift, double* acc,
+                         size_t n) {
   Active().add_exp_sum_accumulate_f32(c, a, shift, acc, n);
 }
 
-void AddExpWriteF32(double shift, const float* a, const double* b,
-                    double* out, size_t n) {
+template <typename T, FloatOnly<T>>
+void AddExpWrite(double shift, const T* a, const double* b, double* out,
+                 size_t n) {
   Active().add_exp_write_f32(shift, a, b, out, n);
 }
+
+// The float overloads' one instantiation each.
+template double Dot(const float*, const double*, size_t);
+template double Dot3(const double*, const float*, const double*, size_t);
+template double GatherDot(const float*, const size_t*, const double*, size_t);
+template double GatherDot3(const double*, const float*, const size_t*,
+                           const double*, size_t);
+template double GatherDotColumn(const float*, const size_t*, const double*,
+                                size_t);
+template void AxpyRows(const double*, const float*, size_t, size_t, double*,
+                       size_t);
+template void ScaledHadamard(double, const float*, const double*, double*,
+                             size_t);
+template void GatherScaledHadamard(double, const float*, const size_t*,
+                                   const double*, double*, size_t);
+template double AddMaxReduce(const float*, const double*, size_t);
+template double AddExpSumShifted(const float*, const double*, double, size_t);
+template double GatherAddMaxReduce(const float*, const size_t*, const double*,
+                                   size_t);
+template double GatherAddExpSumShifted(const float*, const size_t*,
+                                       const double*, double, size_t);
+template void AddMaxAccumulate(double, const float*, double*, size_t);
+template void AddExpSumAccumulate(double, const float*, const double*,
+                                  double*, size_t);
+template void AddExpWrite(double, const float*, const double*, double*,
+                          size_t);
 
 }  // namespace otclean::linalg::simd

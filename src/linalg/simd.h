@@ -2,11 +2,12 @@
 #define OTCLEAN_LINALG_SIMD_H_
 
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 namespace otclean::linalg::simd {
 
-/// Runtime-dispatched SIMD primitives for the TransportKernel hot loops and
+/// Runtime-dispatched SIMD primitives for the transport-kernel hot loops and
 /// the Vector/SparseMatrix helpers they lean on.
 ///
 /// One instruction set is selected for the whole process the first time any
@@ -189,78 +190,79 @@ void GatherScaledHadamard(double s, const double* vals, const size_t* idx,
 
 // ------------------------------------------------- f32 kernel-tier lanes --
 //
-// Float-STORAGE variants of the kernel hot loops for the opt-in
-// Precision::kFloat32 tier (see precision.h). Only the kernel operand is
-// float — marginals, potentials, costs, and outputs stay double, and every
-// float lane is widened to double (an exact conversion) before it enters
-// any arithmetic, so each variant reuses its f64 twin's accumulation recipe
-// verbatim and inherits the same determinism contract per (tier, precision).
-// Halving the kernel's bytes-per-entry doubles the elements per vector load
-// on exactly the loops BENCH_simd_kernel.json shows memory-bound.
+// Float-STORAGE overloads of the kernel hot loops for the opt-in
+// Precision::kFloat32 tier (see precision.h): the same names as the f64
+// primitives, so the kernel templates call one spelling at either storage
+// scalar. Only the kernel operand is float — marginals, potentials, costs,
+// and outputs stay double, and every float lane is widened to double (an
+// exact conversion) before it enters any arithmetic, so each overload
+// reuses its f64 twin's accumulation recipe verbatim and inherits the same
+// determinism contract per (tier, precision). Halving the kernel's
+// bytes-per-entry doubles the elements per vector load on exactly the
+// loops BENCH_simd_kernel.json shows memory-bound.
 //
-// One deliberate asymmetry: the f32 sparse transpose-apply uses the
-// lane-parallel GatherDotF32 below rather than a sequential chain, because
-// the f64 GatherDotSequential exists only to make sparse-at-full-support
-// bit-match the dense path — an f64-specific contract the f32 tier does not
-// carry (its dense kernel rounds entries differently than its CSR mirror
-// would require). Dropping the latency-bound chain is where the f32
-// sparse_applyT speedup comes from; per (tier, f32) determinism still holds
-// because each output column is one fixed-recipe reduction.
+// The float overloads are function templates constrained to T = float: a
+// null pointer literal cannot deduce T, so a call such as
+// `Dot(nullptr, nullptr, 0)` still names the f64 primitive unambiguously.
 
-/// Σ a[k]·b[k] with float a.
-double DotF32(const float* a, const double* b, size_t n);
+template <typename T>
+using FloatOnly = std::enable_if_t<std::is_same_v<T, float>, int>;
 
-/// Σ (a[i]·b[i])·c[i] with float kernel b (a = costs, c = v).
-double Dot3F32(const double* a, const float* b, const double* c, size_t n);
-
-/// Σ vals[k]·x[idx[k]] with float vals — the f32 CSR row kernel AND the
-/// f32 CSC transpose-apply kernel (see the asymmetry note above).
-double GatherDotF32(const float* vals, const size_t* idx, const double* x,
+template <typename T, FloatOnly<T> = 0>
+double Dot(const T* a, const double* b, size_t n);
+template <typename T, FloatOnly<T> = 0>
+double Dot3(const double* a, const T* b, const double* c, size_t n);
+template <typename T, FloatOnly<T> = 0>
+double GatherDot(const T* vals, const size_t* idx, const double* x,
+                 size_t n);
+template <typename T, FloatOnly<T> = 0>
+double GatherDot3(const double* a, const T* b, const size_t* idx,
+                  const double* x, size_t n);
+template <typename T, FloatOnly<T> = 0>
+void AxpyRows(const double* coeffs, const T* base, size_t row_stride,
+              size_t num_rows, double* y, size_t n);
+template <typename T, FloatOnly<T> = 0>
+void ScaledHadamard(double s, const T* a, const double* b, double* out,
                     size_t n);
+template <typename T, FloatOnly<T> = 0>
+void GatherScaledHadamard(double s, const T* vals, const size_t* idx,
+                          const double* x, double* out, size_t n);
+template <typename T, FloatOnly<T> = 0>
+double AddMaxReduce(const T* a, const double* b, size_t n);
+template <typename T, FloatOnly<T> = 0>
+double AddExpSumShifted(const T* a, const double* b, double shift,
+                        size_t n);
+template <typename T, FloatOnly<T> = 0>
+double GatherAddMaxReduce(const T* vals, const size_t* idx,
+                          const double* x, size_t n);
+template <typename T, FloatOnly<T> = 0>
+double GatherAddExpSumShifted(const T* vals, const size_t* idx,
+                              const double* x, double shift, size_t n);
+template <typename T, FloatOnly<T> = 0>
+void AddMaxAccumulate(double c, const T* a, double* mx, size_t n);
+template <typename T, FloatOnly<T> = 0>
+void AddExpSumAccumulate(double c, const T* a, const double* shift,
+                         double* acc, size_t n);
+template <typename T, FloatOnly<T> = 0>
+void AddExpWrite(double shift, const T* a, const double* b, double* out,
+                 size_t n);
 
-/// Σ (a[k]·b[k])·x[idx[k]] with float kernel b (a = support costs).
-double GatherDot3F32(const double* a, const float* b, const size_t* idx,
-                     const double* x, size_t n);
-
-/// y[i] += Σ_r coeffs[r]·base[r·row_stride + i] with a float matrix —
-/// the f32 dense ApplyTranspose kernel. Same two-row blocking and
-/// zero-coefficient row skip as AxpyRows.
-void AxpyRowsF32(const double* coeffs, const float* base, size_t row_stride,
-                 size_t num_rows, double* y, size_t n);
-
-/// out[i] = (s·a[i])·b[i] with float kernel a.
-void ScaledHadamardF32(double s, const float* a, const double* b, double* out,
+// ------------------------------------------------- CSC column gather pair --
+//
+// Σ vals[k]·x[idx[k]] over one CSC column — the sparse transpose-apply
+// kernel, and the one place the two precisions deliberately differ:
+//  - double: GatherDotSequential, so at full support the sparse transpose
+//    is bit-identical to the dense one (dense ≡ CSR at cutoff 0);
+//  - float: the lane-parallel GatherDot. The f32 tier does not carry the
+//    dense ≡ CSR contract, so it is free to break the latency-bound chain
+//    — which is where the f32 sparse_applyT speedup comes from. Each
+//    column is still one fixed-recipe reduction, deterministic per
+//    (tier, f32).
+double GatherDotColumn(const double* vals, const size_t* idx, const double* x,
                        size_t n);
-
-/// out[k] = (s·vals[k])·x[idx[k]] with float vals.
-void GatherScaledHadamardF32(double s, const float* vals, const size_t* idx,
-                             const double* x, double* out, size_t n);
-
-/// max (a[i] + b[i]) with float log-kernel a; −inf when n = 0.
-double AddMaxReduceF32(const float* a, const double* b, size_t n);
-
-/// Σ PolyExp(a[i] + b[i] − shift) with float log-kernel a.
-double AddExpSumShiftedF32(const float* a, const double* b, double shift,
-                           size_t n);
-
-/// max (vals[k] + x[idx[k]]) with float vals; −inf when n = 0.
-double GatherAddMaxReduceF32(const float* vals, const size_t* idx,
-                             const double* x, size_t n);
-
-/// Σ PolyExp(vals[k] + x[idx[k]] − shift) with float vals.
-double GatherAddExpSumShiftedF32(const float* vals, const size_t* idx,
-                                 const double* x, double shift, size_t n);
-
-/// mx[i] = max(mx[i], a[i] + c) with float log-kernel row a.
-void AddMaxAccumulateF32(double c, const float* a, double* mx, size_t n);
-
-/// acc[i] += PolyExp(a[i] + c − shift[i]) with float log-kernel row a.
-void AddExpSumAccumulateF32(double c, const float* a, const double* shift,
-                            double* acc, size_t n);
-
-/// out[i] = PolyExp(a[i] + b[i] + shift) with float log-kernel row a.
-void AddExpWriteF32(double shift, const float* a, const double* b,
-                    double* out, size_t n);
+template <typename T, FloatOnly<T> = 0>
+double GatherDotColumn(const T* vals, const size_t* idx, const double* x,
+                       size_t n);
 
 namespace detail {
 

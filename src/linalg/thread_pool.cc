@@ -94,10 +94,9 @@ void ThreadPool::RunChunks(size_t num_chunks, void (*chunk_fn)(void*, size_t),
   }
   wake_.NotifyAll();
   // The dispatching thread is a full participant — with W workers the pool
-  // provides W+1 lanes per job, matching the spawn path's "caller runs
-  // chunk 0". Under concurrent dispatch each job is guaranteed at least
-  // its own dispatcher; idle workers join whichever live jobs still have
-  // unclaimed chunks.
+  // provides W+1 lanes per job. Under concurrent dispatch each job is
+  // guaranteed at least its own dispatcher; idle workers join whichever
+  // live jobs still have unclaimed chunks.
   size_t completed = 0;
   for (;;) {
     const size_t c = job.next_chunk.fetch_add(1, std::memory_order_relaxed);
@@ -151,6 +150,11 @@ void ThreadPool::WorkerLoop() {
     // own job's predicate.
     if (job_finished) done_.NotifyAll();
   }
+}
+
+void RunPoolChunks(ThreadPool* pool, size_t num_chunks,
+                   void (*chunk_fn)(void*, size_t), void* ctx) {
+  pool->RunChunks(num_chunks, chunk_fn, ctx);
 }
 
 }  // namespace otclean::linalg

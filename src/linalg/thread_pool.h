@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <optional>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -14,19 +13,17 @@
 
 namespace otclean::linalg {
 
-/// A persistent worker pool for the kernel primitives. The spawn-per-call
-/// ParallelFor in parallel_for.h pays a thread create/join on *every*
-/// primitive invocation — on small plans that startup dominates the actual
-/// arithmetic. A ThreadPool is created once (per solve, or shared across
-/// solves by the caller) and reuses the same workers for every subsequent
-/// dispatch, so an entire Sinkhorn run — thousands of Apply/ApplyTranspose
-/// calls — costs one thread startup total.
+/// A persistent worker pool for the kernel primitives. A ThreadPool is
+/// created once (per solve, or shared across solves by the caller) and
+/// reuses the same workers for every dispatch, so an entire Sinkhorn run —
+/// thousands of Apply/ApplyTranspose calls — costs one thread startup
+/// total. ParallelFor/BlockedReduce (parallel_for.h) take the pool as their
+/// last argument; without one they run the same chunks inline.
 ///
 /// Determinism: the pool never decides *what* a chunk computes, only which
-/// OS thread runs it. The pool-aware ParallelFor overload below uses the
-/// exact same chunk decomposition as the spawn-per-call path, and chunks
-/// write disjoint index ranges, so pooled results are bit-identical to
-/// spawned and serial ones.
+/// OS thread runs it. ParallelFor uses the exact same chunk decomposition
+/// with or without a pool, and chunks write disjoint index ranges, so
+/// pooled results are bit-identical to inline (serial) ones.
 ///
 /// Concurrent dispatch: any number of threads may call RunChunks on the
 /// same pool at the same time (one repair job per dispatcher — the
@@ -139,8 +136,8 @@ class ThreadPool {
 /// Resolves the pool a solve dispatches on: the caller-supplied `external`
 /// when present, otherwise a pool constructed into `owned` for the solve's
 /// duration when more than one thread resolves — so threads start once per
-/// solve, not once per primitive call. Null (spawn-free serial execution)
-/// when one thread resolves. Every solver entry point (Sinkhorn,
+/// solve, not once per primitive call. Null (inline serial execution) when
+/// one thread resolves. Every solver entry point (Sinkhorn,
 /// FastOTClean, QCLP) funnels through this one policy.
 inline ThreadPool* ResolveSolvePool(ThreadPool* external, size_t num_threads,
                                     std::optional<ThreadPool>& owned) {
@@ -150,51 +147,6 @@ inline ThreadPool* ResolveSolvePool(ThreadPool* external, size_t num_threads,
     return &*owned;
   }
   return nullptr;
-}
-
-/// Pool-aware ParallelFor: same contract and — critically — the same chunk
-/// decomposition as the spawn-per-call overload in parallel_for.h, so
-/// outputs are bit-identical whether a pool, fresh threads, or a single
-/// thread runs the loop. `threads` bounds the decomposition exactly as in
-/// the spawn path (the pool's worker count only affects scheduling). A
-/// null pool falls back to spawn-per-call.
-template <typename Fn>
-void ParallelFor(size_t n, size_t threads, Fn&& fn, size_t grain,
-                 ThreadPool* pool) {
-  if (pool == nullptr) {
-    ParallelFor(n, threads, std::forward<Fn>(fn), grain);
-    return;
-  }
-  const ChunkPlan plan = PlanChunks(n, threads, grain);
-  if (plan.num_chunks == 0) return;
-  if (plan.num_chunks == 1) {
-    fn(size_t{0}, n);
-    return;
-  }
-  struct Job {
-    std::remove_reference_t<Fn>* fn;
-    size_t n;
-    size_t chunk;
-  } job{&fn, n, plan.chunk};
-  pool->RunChunks(
-      plan.num_chunks,
-      [](void* ctx, size_t c) {
-        Job& j = *static_cast<Job*>(ctx);
-        const size_t begin = c * j.chunk;
-        (*j.fn)(begin, std::min(j.n, begin + j.chunk));
-      },
-      &job);
-}
-
-/// Pool-aware BlockedReduce: the shared BlockedReduceWith recipe with a
-/// pooled executor — the result does not depend on the thread count or on
-/// whether a pool is used.
-template <typename BlockFn>
-double BlockedReduce(size_t n, size_t threads, BlockFn&& block_fn,
-                     ThreadPool* pool) {
-  return BlockedReduceWith(n, block_fn, [&](size_t blocks, auto&& fn) {
-    ParallelFor(blocks, threads, fn, /*grain=*/1, pool);
-  });
 }
 
 }  // namespace otclean::linalg

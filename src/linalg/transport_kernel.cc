@@ -1,63 +1,84 @@
 #include "linalg/transport_kernel.h"
 
+#include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "linalg/parallel_for.h"
 #include "linalg/simd.h"
-#include "linalg/thread_pool.h"
 
 namespace otclean::linalg {
 
-CscMirror::CscMirror(const SparseMatrix& csr) {
-  const size_t n = csr.cols();
-  const auto& row_ptr = csr.row_ptr();
-  const auto& col_index = csr.col_index();
-  const auto& csr_values = csr.values();
-  col_ptr.assign(n + 1, 0);
+// -------------------------------------------------------------- storages --
+
+MatrixF32::MatrixF32(const Matrix& m)
+    : rows_(m.rows()),
+      cols_(m.cols()),
+      data_(m.data().begin(), m.data().end()) {}
+
+std::vector<double> SparsePattern::GatherSupportCosts(
+    const CostProvider& cost) const {
+  assert(cost.rows() == rows && cost.cols() == cols);
+  std::vector<double> out(nnz());
+  for (size_t r = 0; r < rows; ++r) {
+    const size_t k0 = row_ptr[r];
+    cost.Gather(r, col_index.data() + k0, row_ptr[r + 1] - k0, out.data() + k0);
+  }
+  return out;
+}
+
+template <typename T>
+SparseStorage<T>::SparseStorage(const SparseMatrix& csr)
+    : values(csr.values().begin(), csr.values().end()) {
+  rows = csr.rows();
+  cols = csr.cols();
+  row_ptr = csr.row_ptr();
+  col_index = csr.col_index();
+  col_ptr.assign(cols + 1, 0);
   for (size_t c : col_index) ++col_ptr[c + 1];
-  for (size_t c = 0; c < n; ++c) col_ptr[c + 1] += col_ptr[c];
-  row_index.resize(csr_values.size());
-  values.resize(csr_values.size());
+  for (size_t c = 0; c < cols; ++c) col_ptr[c + 1] += col_ptr[c];
+  csc_row_index.resize(nnz());
+  csc_values.resize(nnz());
   std::vector<size_t> fill(col_ptr.begin(), col_ptr.end() - 1);
   // Row-order scan keeps each column's entries sorted by ascending row.
-  for (size_t r = 0; r < csr.rows(); ++r) {
+  for (size_t r = 0; r < rows; ++r) {
     max_row_nnz = std::max(max_row_nnz, row_ptr[r + 1] - row_ptr[r]);
     for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
       const size_t dst = fill[col_index[k]]++;
-      row_index[dst] = r;
-      values[dst] = csr_values[k];
+      csc_row_index[dst] = r;
+      csc_values[dst] = values[k];
     }
   }
 }
 
 // ----------------------------------------------------------------- Dense --
 
-DenseTransportKernel::DenseTransportKernel(Matrix kernel, size_t num_threads,
-                                           ThreadPool* pool)
-    : DenseTransportKernel(std::make_shared<const Matrix>(std::move(kernel)),
-                           num_threads, pool) {}
+template <typename T>
+DenseKernel<T>::DenseKernel(Storage kernel, size_t num_threads,
+                            ThreadPool* pool)
+    : DenseKernel(std::make_shared<const Storage>(std::move(kernel)),
+                  num_threads, pool) {}
 
-DenseTransportKernel::DenseTransportKernel(std::shared_ptr<const Matrix> kernel,
-                                           size_t num_threads, ThreadPool* pool)
+template <typename T>
+DenseKernel<T>::DenseKernel(std::shared_ptr<const Storage> kernel,
+                            size_t num_threads, ThreadPool* pool)
     : kernel_(std::move(kernel)),
       threads_(ResolveThreadCount(num_threads)),
       pool_(pool) {}
 
-DenseTransportKernel DenseTransportKernel::FromCost(const Matrix& cost,
-                                                    double epsilon,
-                                                    size_t num_threads,
-                                                    ThreadPool* pool) {
+template <typename T>
+DenseKernel<T> DenseKernel<T>::FromCost(const Matrix& cost, double epsilon,
+                                        size_t num_threads, ThreadPool* pool) {
   assert(epsilon > 0.0);
-  return DenseTransportKernel(cost.GibbsKernel(epsilon), num_threads, pool);
+  return DenseKernel(Storage(cost.GibbsKernel(epsilon)), num_threads, pool);
 }
 
-void DenseTransportKernel::Apply(const Vector& v, Vector& y) const {
-  const size_t m = kernel_->rows();
-  const size_t n = kernel_->cols();
+template <typename T>
+void DenseKernel<T>::Apply(const Vector& v, Vector& y) const {
+  const size_t m = rows();
+  const size_t n = cols();
   assert(v.size() == n);
   if (y.size() != m) y = Vector(m);
-  const double* data = kernel_->data().data();
+  const T* data = kernel_->data().data();
   const double* vdata = v.begin();
   ParallelFor(
       m, threads_,
@@ -69,12 +90,13 @@ void DenseTransportKernel::Apply(const Vector& v, Vector& y) const {
       GrainForWork(n), pool_);
 }
 
-void DenseTransportKernel::ApplyTranspose(const Vector& u, Vector& y) const {
-  const size_t m = kernel_->rows();
-  const size_t n = kernel_->cols();
+template <typename T>
+void DenseKernel<T>::ApplyTranspose(const Vector& u, Vector& y) const {
+  const size_t m = rows();
+  const size_t n = cols();
   assert(u.size() == m);
   if (y.size() != n) y = Vector(n);
-  const double* data = kernel_->data().data();
+  const T* data = kernel_->data().data();
   // Column-blocked: each worker owns output range [c0, c1) and streams the
   // rows in ascending order (AxpyRows: two rows per pass in the vector
   // tiers, traffic-only blocking), so every y[c] accumulates the same
@@ -90,13 +112,13 @@ void DenseTransportKernel::ApplyTranspose(const Vector& u, Vector& y) const {
       GrainForWork(m), pool_);
 }
 
-Matrix DenseTransportKernel::ScaleToPlan(const Vector& u,
-                                         const Vector& v) const {
-  const size_t m = kernel_->rows();
-  const size_t n = kernel_->cols();
+template <typename T>
+Matrix DenseKernel<T>::ScaleToPlan(const Vector& u, const Vector& v) const {
+  const size_t m = rows();
+  const size_t n = cols();
   assert(u.size() == m && v.size() == n);
   Matrix plan(m, n);
-  const double* data = kernel_->data().data();
+  const T* data = kernel_->data().data();
   const double* vdata = v.begin();
   double* out = plan.data().data();
   ParallelFor(
@@ -110,49 +132,39 @@ Matrix DenseTransportKernel::ScaleToPlan(const Vector& u,
   return plan;
 }
 
-double DenseTransportKernel::TransportCost(const CostProvider& cost,
-                                           const Vector& u,
-                                           const Vector& v) const {
-  const size_t m = kernel_->rows();
-  const size_t n = kernel_->cols();
+template <typename T>
+double DenseKernel<T>::TransportCost(const CostProvider& cost, const Vector& u,
+                                     const Vector& v) const {
+  const size_t m = rows();
+  const size_t n = cols();
   assert(cost.rows() == m && cost.cols() == n);
   assert(u.size() == m && v.size() == n);
-  const double* kdata = kernel_->data().data();
+  const T* kdata = kernel_->data().data();
   const double* vdata = v.begin();
-  if (const Matrix* dense_cost = cost.AsMatrix()) {
-    // Zero-copy fast path: whole-row triple dots against the in-memory
-    // cost.
-    const double* cdata = dense_cost->data().data();
-    return BlockedReduce(
-        m, threads_,
-        [&](size_t r0, size_t r1) {
-          double s = 0.0;
-          for (size_t r = r0; r < r1; ++r) {
-            const double ur = u[r];
-            if (ur == 0.0) continue;
-            s += ur * simd::Dot3(cdata + r * n, kdata + r * n, vdata, n);
-          }
-          return s;
-        },
-        pool_);
-  }
-  // Streamed path: pull cost rows tile-by-tile into an L1-sized scratch.
-  // Each reduction block owns its scratch, so workers never share tiles.
+  const Matrix* dense_cost = cost.AsMatrix();
+  // Whole-row triple dots against an in-memory cost (zero-copy), else cost
+  // rows pulled tile-by-tile into an L1-sized scratch owned by each
+  // reduction block, so workers never share tiles.
   return BlockedReduce(
       m, threads_,
       [&](size_t r0, size_t r1) {
-        std::vector<double> tile(std::min(n, kCostStreamTileCols));
+        std::vector<double> tile(
+            dense_cost == nullptr ? std::min(n, kCostStreamTileCols) : 0);
         double s = 0.0;
         for (size_t r = r0; r < r1; ++r) {
           const double ur = u[r];
           if (ur == 0.0) continue;
+          if (dense_cost != nullptr) {
+            s += ur * simd::Dot3(dense_cost->data().data() + r * n,
+                                 kdata + r * n, vdata, n);
+            continue;
+          }
           double row_sum = 0.0;
           for (size_t c0 = 0; c0 < n; c0 += tile.size()) {
             const size_t c1 = std::min(n, c0 + tile.size());
             cost.Fill(r, c0, c1, tile.data());
-            row_sum +=
-                simd::Dot3(tile.data(), kdata + r * n + c0, vdata + c0,
-                           c1 - c0);
+            row_sum += simd::Dot3(tile.data(), kdata + r * n + c0, vdata + c0,
+                                  c1 - c0);
           }
           s += ur * row_sum;
         }
@@ -163,199 +175,181 @@ double DenseTransportKernel::TransportCost(const CostProvider& cost,
 
 // ---------------------------------------------------------------- Sparse --
 
-SparseTransportKernel::SparseTransportKernel(SparseMatrix kernel,
-                                             size_t num_threads,
-                                             ThreadPool* pool)
-    : SparseTransportKernel(
-          std::make_shared<const SparseKernelStorage>(std::move(kernel)),
-          num_threads, pool) {}
+template <typename T>
+SparseKernel<T>::SparseKernel(const SparseMatrix& kernel, size_t num_threads,
+                              ThreadPool* pool)
+    : SparseKernel(std::make_shared<const Storage>(kernel), num_threads,
+                   pool) {}
 
-SparseTransportKernel::SparseTransportKernel(
-    std::shared_ptr<const SparseKernelStorage> storage, size_t num_threads,
-    ThreadPool* pool)
+template <typename T>
+SparseKernel<T>::SparseKernel(std::shared_ptr<const Storage> storage,
+                              size_t num_threads, ThreadPool* pool)
     : storage_(std::move(storage)),
       threads_(ResolveThreadCount(num_threads)),
       pool_(pool) {}
 
-SparseTransportKernel SparseTransportKernel::FromCost(const Matrix& cost,
-                                                      double epsilon,
-                                                      double cutoff,
-                                                      size_t num_threads,
-                                                      ThreadPool* pool) {
+template <typename T>
+SparseKernel<T> SparseKernel<T>::FromCost(const CostProvider& cost,
+                                          double epsilon, double cutoff,
+                                          size_t num_threads,
+                                          ThreadPool* pool) {
+  assert(epsilon > 0.0);
+  return SparseKernel(SparseMatrix::GibbsKernel(cost, epsilon, cutoff),
+                      num_threads, pool);
+}
+
+template <typename T>
+SparseKernel<T> SparseKernel<T>::FromCost(const Matrix& cost, double epsilon,
+                                          double cutoff, size_t num_threads,
+                                          ThreadPool* pool) {
   return FromCost(MatrixCostProvider(cost), epsilon, cutoff, num_threads,
                   pool);
 }
 
-SparseTransportKernel SparseTransportKernel::FromCost(const CostProvider& cost,
-                                                      double epsilon,
-                                                      double cutoff,
-                                                      size_t num_threads,
-                                                      ThreadPool* pool) {
-  assert(epsilon > 0.0);
-  return SparseTransportKernel(SparseMatrix::GibbsKernel(cost, epsilon, cutoff),
-                               num_threads, pool);
-}
-
-void SparseTransportKernel::Apply(const Vector& v, Vector& y) const {
-  const size_t m = kern().rows();
-  assert(v.size() == kern().cols());
+template <typename T>
+void SparseKernel<T>::Apply(const Vector& v, Vector& y) const {
+  const Storage& s = *storage_;
+  const size_t m = s.rows;
+  assert(v.size() == s.cols);
   if (y.size() != m) y = Vector(m);
-  const auto& row_ptr = kern().row_ptr();
-  const size_t* cols = kern().col_index().data();
-  const double* values = kern().values().data();
   const double* vdata = v.begin();
   ParallelFor(
       m, threads_,
       [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
-          const size_t k0 = row_ptr[r];
-          y[r] = simd::GatherDot(values + k0, cols + k0, vdata,
-                                 row_ptr[r + 1] - k0);
+          const size_t k0 = s.row_ptr[r];
+          y[r] = simd::GatherDot(s.values.data() + k0, s.col_index.data() + k0,
+                                 vdata, s.row_ptr[r + 1] - k0);
         }
       },
-      GrainForWork(kern().nnz() / (m == 0 ? 1 : m)), pool_);
+      GrainForWork(s.nnz() / (m == 0 ? 1 : m)), pool_);
 }
 
-void SparseTransportKernel::ApplyTranspose(const Vector& u, Vector& y) const {
-  const size_t n = kern().cols();
-  assert(u.size() == kern().rows());
+template <typename T>
+void SparseKernel<T>::ApplyTranspose(const Vector& u, Vector& y) const {
+  const Storage& s = *storage_;
+  const size_t n = s.cols;
+  assert(u.size() == s.rows);
   if (y.size() != n) y = Vector(n);
-  const double* csc_values = csc().values.data();
-  const size_t* rows = csc().row_index.data();
   const double* udata = u.begin();
   // Gather over the CSC mirror: each output y[c] is owned by one worker
-  // and accumulates its column's entries in strictly ascending-row order
-  // (GatherDotSequential, one multiply-accumulate per entry) — the same
-  // per-element chain the dense ApplyTranspose applies, so at cutoff zero
-  // sparse and dense transpose-applies are bit-identical.
+  // and reduced over its column's entries in ascending-row order. At f64
+  // the reduction is the sequential mul+add chain the dense ApplyTranspose
+  // applies, so at cutoff zero sparse and dense transpose-applies are
+  // bit-identical; at f32 it is lane-parallel (simd::GatherDotColumn).
   ParallelFor(
       n, threads_,
       [&](size_t c0, size_t c1) {
         for (size_t c = c0; c < c1; ++c) {
-          const size_t k0 = csc().col_ptr[c];
-          y[c] = simd::GatherDotSequential(csc_values + k0, rows + k0, udata,
-                                           csc().col_ptr[c + 1] - k0);
+          const size_t k0 = s.col_ptr[c];
+          y[c] = simd::GatherDotColumn(s.csc_values.data() + k0,
+                                       s.csc_row_index.data() + k0, udata,
+                                       s.col_ptr[c + 1] - k0);
         }
       },
-      GrainForWork(kern().nnz() / (n == 0 ? 1 : n)), pool_);
+      GrainForWork(s.nnz() / (n == 0 ? 1 : n)), pool_);
 }
 
-Matrix SparseTransportKernel::ScaleToPlan(const Vector& u,
-                                          const Vector& v) const {
-  const size_t m = kern().rows();
-  const size_t n = kern().cols();
-  assert(u.size() == m && v.size() == n);
-  Matrix plan(m, n, 0.0);
-  const auto& row_ptr = kern().row_ptr();
-  const auto& col_index = kern().col_index();
-  const auto& values = kern().values();
+template <typename T>
+Matrix SparseKernel<T>::ScaleToPlan(const Vector& u, const Vector& v) const {
+  const Storage& s = *storage_;
+  assert(u.size() == s.rows && v.size() == s.cols);
+  Matrix plan(s.rows, s.cols, 0.0);
   ParallelFor(
-      m, threads_,
+      s.rows, threads_,
       [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
           const double ur = u[r];
-          for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-            plan(r, col_index[k]) = (ur * values[k]) * v[col_index[k]];
+          for (size_t k = s.row_ptr[r]; k < s.row_ptr[r + 1]; ++k) {
+            const size_t c = s.col_index[k];
+            plan(r, c) = (ur * static_cast<double>(s.values[k])) * v[c];
           }
         }
       },
-      GrainForWork(kern().nnz() / (m == 0 ? 1 : m)), pool_);
+      GrainForWork(s.nnz() / (s.rows == 0 ? 1 : s.rows)), pool_);
   return plan;
 }
 
-SparseMatrix SparseTransportKernel::ScaleToPlanSparse(const Vector& u,
-                                                      const Vector& v) const {
-  assert(u.size() == kern().rows() && v.size() == kern().cols());
-  SparseMatrix plan = kern();
-  const auto& row_ptr = kern().row_ptr();
-  const size_t* cols = kern().col_index().data();
-  const double* values = kern().values().data();
-  const double* vdata = v.begin();
-  double* out = plan.values().data();
-  const size_t m = kern().rows();
+template <typename T>
+SparseMatrix SparseKernel<T>::ScaleToPlanSparse(const Vector& u,
+                                                const Vector& v) const {
+  const Storage& s = *storage_;
+  assert(u.size() == s.rows && v.size() == s.cols);
+  std::vector<double> out(s.nnz());
   ParallelFor(
-      m, threads_,
+      s.rows, threads_,
       [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
-          const size_t k0 = row_ptr[r];
-          simd::GatherScaledHadamard(u[r], values + k0, cols + k0, vdata,
-                                     out + k0, row_ptr[r + 1] - k0);
+          const size_t k0 = s.row_ptr[r];
+          simd::GatherScaledHadamard(u[r], s.values.data() + k0,
+                                     s.col_index.data() + k0, v.begin(),
+                                     out.data() + k0, s.row_ptr[r + 1] - k0);
         }
       },
-      GrainForWork(kern().nnz() / (m == 0 ? 1 : m)), pool_);
-  return plan;
+      GrainForWork(s.nnz() / (s.rows == 0 ? 1 : s.rows)), pool_);
+  return SparseMatrix::FromParts(s.rows, s.cols, s.row_ptr, s.col_index,
+                                 std::move(out));
 }
 
-std::vector<double> SparseTransportKernel::GatherSupportCosts(
-    const CostProvider& cost) const {
-  assert(cost.rows() == kern().rows() && cost.cols() == kern().cols());
-  const auto& row_ptr = kern().row_ptr();
-  const size_t* cols = kern().col_index().data();
-  std::vector<double> out(kern().nnz());
-  for (size_t r = 0; r < kern().rows(); ++r) {
-    const size_t k0 = row_ptr[r];
-    cost.Gather(r, cols + k0, row_ptr[r + 1] - k0, out.data() + k0);
-  }
-  return out;
-}
-
-double SparseTransportKernel::SupportTransportCost(
+template <typename T>
+double SparseKernel<T>::SupportTransportCost(
     const std::vector<double>& support_costs, const Vector& u,
     const Vector& v) const {
-  const size_t m = kern().rows();
-  assert(support_costs.size() == kern().nnz());
-  assert(u.size() == m && v.size() == kern().cols());
-  const auto& row_ptr = kern().row_ptr();
-  const size_t* cols = kern().col_index().data();
-  const double* values = kern().values().data();
-  const double* costs = support_costs.data();
-  const double* vdata = v.begin();
+  const Storage& s = *storage_;
+  assert(support_costs.size() == s.nnz());
+  assert(u.size() == s.rows && v.size() == s.cols);
   return BlockedReduce(
-      m, threads_,
+      s.rows, threads_,
       [&](size_t r0, size_t r1) {
-        double s = 0.0;
+        double sum = 0.0;
         for (size_t r = r0; r < r1; ++r) {
           const double ur = u[r];
           if (ur == 0.0) continue;
-          const size_t k0 = row_ptr[r];
-          s += ur * simd::GatherDot3(costs + k0, values + k0, cols + k0,
-                                     vdata, row_ptr[r + 1] - k0);
+          const size_t k0 = s.row_ptr[r];
+          sum += ur * simd::GatherDot3(support_costs.data() + k0,
+                                       s.values.data() + k0,
+                                       s.col_index.data() + k0, v.begin(),
+                                       s.row_ptr[r + 1] - k0);
         }
-        return s;
+        return sum;
       },
       pool_);
 }
 
-double SparseTransportKernel::TransportCost(const CostProvider& cost,
-                                            const Vector& u,
-                                            const Vector& v) const {
-  const size_t m = kern().rows();
-  assert(cost.rows() == m && cost.cols() == kern().cols());
-  assert(u.size() == m && v.size() == kern().cols());
-  const auto& row_ptr = kern().row_ptr();
-  const size_t* cols = kern().col_index().data();
-  const double* values = kern().values().data();
-  const double* vdata = v.begin();
+template <typename T>
+double SparseKernel<T>::TransportCost(const CostProvider& cost,
+                                      const Vector& u, const Vector& v) const {
+  const Storage& s = *storage_;
+  assert(cost.rows() == s.rows && cost.cols() == s.cols);
+  assert(u.size() == s.rows && v.size() == s.cols);
   // O(nnz) cost evaluations: the provider is asked only for the kernel's
   // support. Each reduction block owns a max-row-nnz scratch for the
   // gathered cost entries.
   return BlockedReduce(
-      m, threads_,
+      s.rows, threads_,
       [&](size_t r0, size_t r1) {
-        std::vector<double> crow(csc().max_row_nnz);
-        double s = 0.0;
+        std::vector<double> crow(s.max_row_nnz);
+        double sum = 0.0;
         for (size_t r = r0; r < r1; ++r) {
           const double ur = u[r];
           if (ur == 0.0) continue;
-          const size_t k0 = row_ptr[r];
-          const size_t len = row_ptr[r + 1] - k0;
-          cost.Gather(r, cols + k0, len, crow.data());
-          s += ur * simd::GatherDot3(crow.data(), values + k0, cols + k0,
-                                     vdata, len);
+          const size_t k0 = s.row_ptr[r];
+          const size_t len = s.row_ptr[r + 1] - k0;
+          cost.Gather(r, s.col_index.data() + k0, len, crow.data());
+          sum += ur * simd::GatherDot3(crow.data(), s.values.data() + k0,
+                                       s.col_index.data() + k0, v.begin(),
+                                       len);
         }
-        return s;
+        return sum;
       },
       pool_);
 }
+
+template struct SparseStorage<double>;
+template struct SparseStorage<float>;
+template class DenseKernel<double>;
+template class DenseKernel<float>;
+template class SparseKernel<double>;
+template class SparseKernel<float>;
 
 }  // namespace otclean::linalg

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "linalg/cost_provider.h"
@@ -17,9 +18,8 @@ class ThreadPool;
 /// Storage-agnostic view of a Gibbs kernel K = e^{−C/ε}, exposing exactly
 /// the four primitives the Sinkhorn scaling loop needs. The solver engine
 /// in ot/sinkhorn.cc is written once against this interface; dense and
-/// CSR-sparse (truncated-kernel) storage plug in underneath, so every
-/// future kernel optimization (truncation, blocking, SIMD) is a
-/// single-implementation change.
+/// CSR-sparse (truncated-kernel) storage, at either storage precision,
+/// plug in underneath.
 ///
 /// All primitives are multi-threaded over row (or column) blocks.
 /// `num_threads` is fixed at construction: 0 = hardware concurrency,
@@ -30,13 +30,13 @@ class ThreadPool;
 ///
 /// Inner loops run on the runtime-dispatched SIMD primitives of
 /// linalg/simd.h. The SIMD layer's own determinism contract composes with
-/// the threading one: for a fixed instruction set, pooled/spawned/serial
-/// runs at any thread count are bit-identical, and dense vs cutoff-zero
-/// sparse `Apply` share one accumulation recipe.
+/// the threading one: for a fixed instruction set, pooled and inline runs
+/// at any thread count are bit-identical, and dense vs cutoff-zero sparse
+/// f64 kernels share one accumulation recipe.
 ///
 /// `pool`, when non-null, is a persistent worker pool (thread_pool.h) the
-/// primitives dispatch on instead of spawning threads per call — the same
-/// chunk decomposition runs either way, so pooled results stay
+/// primitives dispatch on; without one they run their chunks inline. The
+/// chunk decomposition is the same either way, so pooled results stay
 /// bit-identical. The pool is borrowed, not owned: it must outlive the
 /// kernel. Solvers create one pool per solve and reuse it across every
 /// Sinkhorn iteration and outer step.
@@ -73,27 +73,108 @@ class TransportKernel {
   }
 };
 
-/// Dense row-major kernel storage.
-///
-/// The kernel matrix is held through a shared_ptr, so several kernel
-/// objects (possibly with different thread counts / pools) can view one
-/// immutable built storage — the mechanism core::SolveCache uses to share
-/// a repeated (cost, ε) kernel across jobs without rebuilding it.
-class DenseTransportKernel final : public TransportKernel {
+// ------------------------------------------------------------- storages --
+//
+// Kernel storages are templated over the STORED scalar T ∈ {double, float}
+// (linalg/precision.h). A float storage is always built by NARROWING an
+// already-built f64 one: values round once to float (round-to-nearest,
+// relative error ≤ 2^-24) and, for sparse storage, the kept-set is decided
+// in DOUBLE before narrowing — so the f32 and f64 kernels of one (cost, ε,
+// cutoff) share a sparsity pattern, and support checks and plan structures
+// carry over unchanged. Storages are immutable once built and held through
+// shared_ptr, so many kernel objects (and core::SolveCache) can view one.
+
+/// Row-major float matrix: the f32 tier's dense storage. Mirrors Matrix's
+/// read accessors so the kernel templates read either the same way.
+class MatrixF32 {
  public:
+  /// Narrows a built f64 matrix.
+  explicit MatrixF32(const Matrix& m);
+
+  size_t rows() const { return rows_; }
+  size_t cols() const { return cols_; }
+  size_t size() const { return data_.size(); }
+  const std::vector<float>& data() const { return data_; }
+
+ private:
+  size_t rows_;
+  size_t cols_;
+  std::vector<float> data_;
+};
+
+/// Dense row-major storage of K = e^{−C/ε} or L = −C/ε at scalar T.
+template <typename T>
+using DenseStorage =
+    std::conditional_t<std::is_same_v<T, float>, MatrixF32, Matrix>;
+
+/// The structure of a CSR kernel plus its CSC mirror: column c's entries
+/// live at [col_ptr[c], col_ptr[c+1]) of the mirror, sorted by ascending
+/// row. With the mirror, every transpose-side primitive is a gather over
+/// disjoint outputs that accumulates each column's entries in
+/// ascending-row order regardless of threading — deterministic, never a
+/// racy scatter.
+struct SparsePattern {
+  size_t rows = 0;
+  size_t cols = 0;
+  std::vector<size_t> row_ptr;
+  std::vector<size_t> col_index;
+  std::vector<size_t> col_ptr;
+  std::vector<size_t> csc_row_index;
+  /// Longest stored CSR row — sizes the per-block scratch of primitives
+  /// that gather one row's worth of streamed data.
+  size_t max_row_nnz = 0;
+
+  size_t nnz() const { return col_index.size(); }
+
+  /// C at every stored entry, aligned with the CSR values — O(nnz) memory,
+  /// one streaming pass over the provider.
+  std::vector<double> GatherSupportCosts(const CostProvider& cost) const;
+};
+
+/// An immutable CSR kernel at scalar T with its CSC mirror — everything a
+/// sparse kernel object needs beyond threading config, so a repeated
+/// (cost, ε, truncation) never re-streams costs or rebuilds the mirror.
+/// The linear and log-domain sparse kernels use the same storage (the
+/// values hold K or L respectively).
+template <typename T>
+struct SparseStorage : SparsePattern {
+  /// Copies the structure of a built f64 CSR matrix, builds the mirror,
+  /// and narrows the values to T.
+  explicit SparseStorage(const SparseMatrix& csr);
+
+  std::vector<T> values;      ///< CSR order
+  std::vector<T> csc_values;  ///< CSC-mirror order
+
+  /// Approximate heap footprint (CSR + mirror).
+  size_t MemoryBytes() const {
+    return (row_ptr.size() + col_index.size() + col_ptr.size() +
+            csc_row_index.size()) *
+               sizeof(size_t) +
+           (values.size() + csc_values.size()) * sizeof(T);
+  }
+};
+
+// --------------------------------------------------------------- kernels --
+
+/// Dense kernel: K stored row-major at scalar T, every reduction
+/// accumulated in double.
+template <typename T>
+class DenseKernel final : public TransportKernel {
+ public:
+  using Storage = DenseStorage<T>;
+
   /// Wraps an already-built kernel matrix (e.g. cost.GibbsKernel(eps)).
-  explicit DenseTransportKernel(Matrix kernel, size_t num_threads = 0,
-                                ThreadPool* pool = nullptr);
+  explicit DenseKernel(Storage kernel, size_t num_threads = 0,
+                       ThreadPool* pool = nullptr);
 
   /// Shares an immutable storage built elsewhere (no copy, no rebuild).
-  explicit DenseTransportKernel(std::shared_ptr<const Matrix> kernel,
-                                size_t num_threads = 0,
-                                ThreadPool* pool = nullptr);
+  explicit DenseKernel(std::shared_ptr<const Storage> kernel,
+                       size_t num_threads = 0, ThreadPool* pool = nullptr);
 
-  /// Builds K = e^{−C/ε} from a cost matrix.
-  static DenseTransportKernel FromCost(const Matrix& cost, double epsilon,
-                                       size_t num_threads = 0,
-                                       ThreadPool* pool = nullptr);
+  /// Builds K = e^{−C/ε} from a cost matrix (in f64, then narrowed).
+  static DenseKernel FromCost(const Matrix& cost, double epsilon,
+                              size_t num_threads = 0,
+                              ThreadPool* pool = nullptr);
 
   size_t rows() const override { return kernel_->rows(); }
   size_t cols() const override { return kernel_->cols(); }
@@ -107,95 +188,50 @@ class DenseTransportKernel final : public TransportKernel {
   double TransportCost(const CostProvider& cost, const Vector& u,
                        const Vector& v) const override;
 
-  const Matrix& kernel() const { return *kernel_; }
+  const Storage& kernel() const { return *kernel_; }
   /// The underlying storage handle, for sharing (core::SolveCache).
-  const std::shared_ptr<const Matrix>& shared_kernel() const {
+  const std::shared_ptr<const Storage>& shared_storage() const {
     return kernel_;
   }
 
  private:
-  std::shared_ptr<const Matrix> kernel_;
+  std::shared_ptr<const Storage> kernel_;
   size_t threads_;
   ThreadPool* pool_;
 };
 
-/// CSC mirror of a CSR matrix: column c's entries live at
-/// [col_ptr[c], col_ptr[c+1]), sorted by ascending row. Shared by the
-/// linear (SparseTransportKernel) and log-domain (SparseLogTransportKernel)
-/// sparse kernels: with the mirror, every transpose-side primitive is a
-/// gather over disjoint outputs that accumulates each column's entries in
-/// ascending-row order regardless of threading — deterministic, never a
-/// racy scatter.
-struct CscMirror {
-  CscMirror() = default;
-  explicit CscMirror(const SparseMatrix& csr);
-
-  std::vector<size_t> col_ptr;
-  std::vector<size_t> row_index;
-  std::vector<double> values;
-  /// Longest stored CSR row — sizes the per-block scratch of primitives
-  /// that gather one row's worth of streamed data.
-  size_t max_row_nnz = 0;
-
-  /// Approximate heap footprint in bytes.
-  size_t MemoryBytes() const {
-    return col_ptr.size() * sizeof(size_t) +
-           row_index.size() * sizeof(size_t) + values.size() * sizeof(double);
-  }
-};
-
-/// An immutable built CSR kernel bundled with its CSC mirror — everything
-/// a sparse kernel object needs beyond threading config. Held through
-/// shared_ptr so many kernel objects (and core::SolveCache) can view one
-/// storage: a repeated (cost, ε, truncation) never re-streams costs or
-/// rebuilds the mirror. The linear and log-domain sparse kernels use the
-/// same struct (the matrix holds K or L respectively).
-struct SparseKernelStorage {
-  explicit SparseKernelStorage(SparseMatrix m)
-      : matrix(std::move(m)), csc(matrix) {}
-
-  SparseMatrix matrix;
-  CscMirror csc;
-
-  /// Approximate heap footprint (CSR + mirror).
-  size_t MemoryBytes() const {
-    return matrix.MemoryBytes() + csc.MemoryBytes();
-  }
-};
-
-/// CSR-sparse kernel storage for truncated Gibbs kernels (Section 6.5).
-/// Construction also builds the transposed (CSC) index so that
-/// ApplyTranspose is a gather over disjoint outputs — deterministic under
-/// any thread count — instead of a racy scatter.
-class SparseTransportKernel final : public TransportKernel {
+/// CSR kernel for truncated Gibbs kernels (Section 6.5), stored at scalar
+/// T with a CSC mirror so ApplyTranspose is a deterministic gather over
+/// disjoint outputs.
+template <typename T>
+class SparseKernel final : public TransportKernel {
  public:
-  explicit SparseTransportKernel(SparseMatrix kernel, size_t num_threads = 0,
-                                 ThreadPool* pool = nullptr);
+  using Storage = SparseStorage<T>;
+
+  /// Adopts a built f64 CSR kernel (narrowed to T).
+  explicit SparseKernel(const SparseMatrix& kernel, size_t num_threads = 0,
+                        ThreadPool* pool = nullptr);
 
   /// Shares an immutable storage built elsewhere (no copy, no rebuild —
   /// the CSC mirror comes along for free).
-  explicit SparseTransportKernel(
-      std::shared_ptr<const SparseKernelStorage> storage,
-      size_t num_threads = 0, ThreadPool* pool = nullptr);
+  explicit SparseKernel(std::shared_ptr<const Storage> storage,
+                        size_t num_threads = 0, ThreadPool* pool = nullptr);
 
-  /// Builds the truncated kernel: entries of e^{−C/ε} below `cutoff` are
-  /// dropped. Cutoff 0 keeps every entry and matches the dense kernel
-  /// exactly.
-  static SparseTransportKernel FromCost(const Matrix& cost, double epsilon,
-                                        double cutoff, size_t num_threads = 0,
-                                        ThreadPool* pool = nullptr);
+  /// Builds the truncated kernel, with the cost *streamed* from a provider
+  /// tile-by-tile — the dense rows×cols cost matrix is never materialized,
+  /// so a truncated solve's memory is O(nnz) end to end. Entries of
+  /// e^{−C/ε} below `cutoff` are dropped (decided in double); cutoff 0
+  /// keeps every entry and, at f64, matches the dense kernel exactly.
+  static SparseKernel FromCost(const CostProvider& cost, double epsilon,
+                               double cutoff, size_t num_threads = 0,
+                               ThreadPool* pool = nullptr);
+  static SparseKernel FromCost(const Matrix& cost, double epsilon,
+                               double cutoff, size_t num_threads = 0,
+                               ThreadPool* pool = nullptr);
 
-  /// Same, with the cost *streamed* from a provider tile-by-tile — the
-  /// dense rows×cols cost matrix is never materialized, so a truncated
-  /// solve's memory is O(nnz) end to end.
-  static SparseTransportKernel FromCost(const CostProvider& cost,
-                                        double epsilon, double cutoff,
-                                        size_t num_threads = 0,
-                                        ThreadPool* pool = nullptr);
-
-  size_t rows() const override { return kern().rows(); }
-  size_t cols() const override { return kern().cols(); }
-  size_t nnz() const override { return kern().nnz(); }
+  size_t rows() const override { return storage_->rows; }
+  size_t cols() const override { return storage_->cols; }
+  size_t nnz() const override { return storage_->nnz(); }
   size_t num_threads() const override { return threads_; }
 
   void Apply(const Vector& v, Vector& y) const override;
@@ -205,35 +241,47 @@ class SparseTransportKernel final : public TransportKernel {
   double TransportCost(const CostProvider& cost, const Vector& u,
                        const Vector& v) const override;
 
-  /// The scaled plan in CSR form, inheriting the kernel's sparsity pattern.
+  /// The scaled plan in CSR form (double values), inheriting the kernel's
+  /// sparsity pattern.
   SparseMatrix ScaleToPlanSparse(const Vector& u, const Vector& v) const;
 
-  /// Streams the provider once and returns C at every stored entry,
-  /// aligned with kernel().values() — O(nnz) memory. Callers that evaluate
-  /// the transport cost repeatedly against one cost (FastOTClean's outer
-  /// loop) gather once and pass the cache to SupportTransportCost instead
-  /// of re-evaluating the cost function every iteration.
-  std::vector<double> GatherSupportCosts(const CostProvider& cost) const;
+  /// Streams the provider once and returns C at every stored entry
+  /// (SparsePattern::GatherSupportCosts). Callers that evaluate the
+  /// transport cost repeatedly against one cost (FastOTClean's outer loop)
+  /// gather once and pass the cache to SupportTransportCost instead of
+  /// re-evaluating the cost function every iteration.
+  std::vector<double> GatherSupportCosts(const CostProvider& cost) const {
+    return storage_->GatherSupportCosts(cost);
+  }
 
   /// TransportCost from a GatherSupportCosts cache; bit-identical to the
   /// streaming CostProvider overload.
   double SupportTransportCost(const std::vector<double>& support_costs,
                               const Vector& u, const Vector& v) const;
 
-  const SparseMatrix& kernel() const { return kern(); }
   /// The underlying storage handle, for sharing (core::SolveCache).
-  const std::shared_ptr<const SparseKernelStorage>& shared_storage() const {
+  const std::shared_ptr<const Storage>& shared_storage() const {
     return storage_;
   }
 
  private:
-  const SparseMatrix& kern() const { return storage_->matrix; }
-  const CscMirror& csc() const { return storage_->csc; }
-
-  std::shared_ptr<const SparseKernelStorage> storage_;
+  std::shared_ptr<const Storage> storage_;
   size_t threads_;
   ThreadPool* pool_;
 };
+
+extern template struct SparseStorage<double>;
+extern template struct SparseStorage<float>;
+extern template class DenseKernel<double>;
+extern template class DenseKernel<float>;
+extern template class SparseKernel<double>;
+extern template class SparseKernel<float>;
+
+/// The concrete kernel names, one alias per (storage, precision).
+using DenseTransportKernel = DenseKernel<double>;
+using SparseTransportKernel = SparseKernel<double>;
+using DenseTransportKernelF32 = DenseKernel<float>;
+using SparseTransportKernelF32 = SparseKernel<float>;
 
 }  // namespace otclean::linalg
 

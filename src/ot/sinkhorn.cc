@@ -11,7 +11,7 @@
 #include "core/solve_cache.h"
 #include "linalg/parallel_for.h"
 #include "linalg/thread_pool.h"
-#include "linalg/transport_kernel_f32.h"
+#include "ot/kernel_factory.h"
 
 namespace otclean::ot {
 
@@ -269,11 +269,9 @@ Status ValidateFiniteCosts(const char* where,
 
 namespace {
 
-/// Per-solve view of the cross-request cache: resolves the key once,
-/// no-ops throughout when the cache is absent or the fingerprint is 0.
-/// One instance serves all four kernel-building paths (dense/sparse ×
-/// linear/log) — the key's log_domain/sparse flags come from the options
-/// and cutoff.
+/// Per-solve view of the cross-request warm-start store, under the same
+/// key the solve's kernel is cached under (KernelCacheKey); no-ops
+/// throughout when the cache is absent or the fingerprint is 0.
 struct CacheSession {
   core::SolveCache* cache = nullptr;
   core::SolveCacheKey key;
@@ -281,26 +279,14 @@ struct CacheSession {
   bool warm_used = false;
   bool use_warm_store = false;
 
-  CacheSession(const SinkhornOptions& options, size_t rows, size_t cols,
-               double cutoff) {
-    if (options.solve_cache == nullptr) return;
-    key = core::MakeSolveCacheKey(options.cache_cost_fingerprint, rows, cols,
-                                  options.epsilon, cutoff, options.log_domain,
-                                  /*salt=*/0, options.precision);
-    if (!key.valid()) return;
+  CacheSession(const SinkhornOptions& options, const core::SolveCacheKey& k)
+      : key(k) {
+    if (options.solve_cache == nullptr || !key.valid()) return;
     cache = options.solve_cache;
     use_warm_store = options.cache_warm_start;
   }
 
   bool active() const { return cache != nullptr; }
-
-  std::optional<core::CachedKernel> Find() {
-    return active() ? cache->FindKernel(key) : std::nullopt;
-  }
-
-  void Publish(core::CachedKernel built) {
-    if (active()) cache->InsertKernel(key, std::move(built));
-  }
 
   /// Redirects null warm pointers at the stored potentials (caller's
   /// explicit warm vectors always win; stored sizes must match exactly —
@@ -343,14 +329,14 @@ void WarmLogPotentials(const linalg::Vector* warm, size_t size,
   for (size_t i = 0; i < size; ++i) (*out)[i] = LogOrNegInf((*warm)[i]);
 }
 
-/// Shared tail of both log-domain entry points: linear-domain u/v from
-/// the converged log-potentials.
-void ExpPotentials(const linalg::Vector& lp, linalg::Vector& out) {
-  out = linalg::Vector(lp.size());
+/// Linear-domain scalings from converged log-potentials.
+linalg::Vector ExpPotentials(const linalg::Vector& lp) {
+  linalg::Vector out(lp.size());
   for (size_t i = 0; i < lp.size(); ++i) {
     out[i] = lp[i] == kNegInf ? 0.0 : std::exp(lp[i]);
   }
   ClampScaling(out);
+  return out;
 }
 
 /// Potential carry-over between annealing stages: u ≈ e^{f/ε} for a dual
@@ -373,6 +359,80 @@ bool ShouldAnneal(const SinkhornOptions& options, const linalg::Vector* warm_u,
          warm_v == nullptr;
 }
 
+/// The kernel an option set iterates on, at the given storage.
+KernelSpec SpecFor(const SinkhornOptions& options, bool sparse, double cutoff,
+                   linalg::ThreadPool* pool) {
+  KernelSpec spec;
+  spec.epsilon = options.epsilon;
+  spec.sparse = sparse;
+  spec.cutoff = cutoff;
+  spec.log_domain = options.log_domain;
+  spec.precision = options.precision;
+  spec.num_threads = options.num_threads;
+  spec.pool = pool;
+  return spec;
+}
+
+/// The cache key of the kernel `spec` names for this solve's cost.
+core::SolveCacheKey SolveKey(const linalg::CostProvider& cost,
+                             const SinkhornOptions& options,
+                             const KernelSpec& spec) {
+  return KernelCacheKey(options.cache_cost_fingerprint, cost.rows(),
+                        cost.cols(), spec);
+}
+
+/// The engine loop matching the kernel's domain, started from
+/// linear-domain warm scalings (lifted to log-potentials for a log
+/// kernel). Returns the potentials in the kernel's own domain — what its
+/// plan and cost primitives take; ToLinearScalings converts them.
+template <typename K>
+Result<SinkhornScaling> RunEngine(const K& kernel, const linalg::Vector& p,
+                                  const linalg::Vector& q,
+                                  const SinkhornOptions& options,
+                                  const linalg::Vector* warm_u,
+                                  const linalg::Vector* warm_v) {
+  if constexpr (kIsLogKernel<K>) {
+    std::optional<linalg::Vector> warm_lu, warm_lv;
+    WarmLogPotentials(warm_u, kernel.rows(), warm_lu);
+    WarmLogPotentials(warm_v, kernel.cols(), warm_lv);
+    OTCLEAN_ASSIGN_OR_RETURN(
+        SinkhornLogScaling s,
+        RunSinkhornLogScaling(kernel, p, q, options,
+                              warm_lu ? &*warm_lu : nullptr,
+                              warm_lv ? &*warm_lv : nullptr));
+    return SinkhornScaling{std::move(s.lu), std::move(s.lv), s.iterations,
+                           s.converged};
+  } else {
+    return RunSinkhornScaling(kernel, p, q, options, warm_u, warm_v);
+  }
+}
+
+/// The potentials RunEngine returned, as linear-domain scalings.
+template <typename K>
+void ToLinearScalings(SinkhornScaling& s) {
+  if constexpr (kIsLogKernel<K>) {
+    s.u = ExpPotentials(s.u);
+    s.v = ExpPotentials(s.v);
+  }
+}
+
+/// π at the converged potentials, in the result's plan storage (a dense
+/// kernel's plan converts only if a CSR result ever asks for one).
+template <typename K>
+void MaterializePlan(const K& kernel, const SinkhornScaling& s,
+                     linalg::Matrix& plan) {
+  plan = kernel.ScaleToPlan(s.u, s.v);
+}
+template <typename K>
+void MaterializePlan(const K& kernel, const SinkhornScaling& s,
+                     linalg::SparseMatrix& plan) {
+  if constexpr (kIsSparseKernel<K>) {
+    plan = kernel.ScaleToPlanSparse(s.u, s.v);
+  } else {
+    plan = linalg::SparseMatrix::FromDense(kernel.ScaleToPlan(s.u, s.v));
+  }
+}
+
 /// One annealing stage: build (or fetch from the solve cache) the kernel
 /// at the stage ε and run the engine loop at the schedule's loose
 /// tolerance, updating the linear-domain potentials in place. The stage
@@ -384,248 +444,88 @@ Result<EpsilonAnnealStage> RunAnnealStage(
     const linalg::Vector& q, const SinkhornOptions& stage_options,
     bool sparse, double cutoff, linalg::Vector& u, linalg::Vector& v,
     linalg::ThreadPool* pool) {
-  const bool f32 = stage_options.precision == linalg::Precision::kFloat32;
-  const size_t threads = stage_options.num_threads;
-  const double eps = stage_options.epsilon;
-  CacheSession session(stage_options, cost.rows(), cost.cols(),
-                       sparse ? cutoff : 0.0);
-  EpsilonAnnealStage stage;
-  stage.epsilon = eps;
-
-  // No per-stage support check: a stage ε exceeds the final ε, so its
-  // truncated kept-set is a superset of the final kernel's — the final
-  // solve's check governs. An emptied stage row merely yields a zero
-  // potential there, which the final solve overwrites or rejects.
-  if (stage_options.log_domain) {
-    std::unique_ptr<const linalg::LogTransportKernel> kernel;
-    if (sparse && f32) {
-      std::shared_ptr<const linalg::SparseKernelStorageF32> shared;
-      if (auto hit = session.Find()) shared = hit->sparse_f32;
-      if (shared != nullptr) {
-        kernel = std::make_unique<linalg::SparseLogTransportKernelF32>(
-            std::move(shared), threads, pool);
-      } else {
-        auto built_kernel = linalg::SparseLogTransportKernelF32::FromCost(
-            cost, eps, cutoff, threads, pool);
-        core::CachedKernel built;
-        built.sparse_f32 = built_kernel.shared_storage();
-        session.Publish(std::move(built));
-        kernel = std::make_unique<linalg::SparseLogTransportKernelF32>(
-            std::move(built_kernel));
-      }
-    } else if (sparse) {
-      std::shared_ptr<const linalg::SparseKernelStorage> shared;
-      if (auto hit = session.Find()) shared = hit->sparse;
-      if (shared != nullptr) {
-        kernel = std::make_unique<linalg::SparseLogTransportKernel>(
-            std::move(shared), threads, pool);
-      } else {
-        auto built_kernel = linalg::SparseLogTransportKernel::FromCost(
-            cost, eps, cutoff, threads, pool);
-        core::CachedKernel built;
-        built.sparse = built_kernel.shared_storage();
-        session.Publish(std::move(built));
-        kernel = std::make_unique<linalg::SparseLogTransportKernel>(
-            std::move(built_kernel));
-      }
-    } else if (f32) {
-      std::shared_ptr<const linalg::DenseKernelStorageF32> shared;
-      if (auto hit = session.Find()) shared = hit->dense_f32;
-      if (shared != nullptr) {
-        kernel = std::make_unique<linalg::DenseLogTransportKernelF32>(
-            std::move(shared), threads, pool);
-      } else {
-        auto built_kernel = linalg::DenseLogTransportKernelF32::FromCost(
-            cost, eps, threads, pool);
-        core::CachedKernel built;
-        built.dense_f32 = built_kernel.shared_storage();
-        session.Publish(std::move(built));
-        kernel = std::make_unique<linalg::DenseLogTransportKernelF32>(
-            std::move(built_kernel));
-      }
-    } else {
-      std::shared_ptr<const linalg::Matrix> shared;
-      if (auto hit = session.Find()) shared = hit->dense;
-      if (shared != nullptr) {
-        kernel = std::make_unique<linalg::DenseLogTransportKernel>(
-            std::move(shared), threads, pool);
-      } else {
-        auto built_kernel = linalg::DenseLogTransportKernel::FromCost(
-            cost, eps, threads, pool);
-        core::CachedKernel built;
-        built.dense = built_kernel.shared_log_kernel();
-        session.Publish(std::move(built));
-        kernel = std::make_unique<linalg::DenseLogTransportKernel>(
-            std::move(built_kernel));
-      }
-    }
-    std::optional<linalg::Vector> lu, lv;
-    WarmLogPotentials(&u, u.size(), lu);
-    WarmLogPotentials(&v, v.size(), lv);
-    OTCLEAN_ASSIGN_OR_RETURN(
-        SinkhornLogScaling scaling,
-        RunSinkhornLogScaling(*kernel, p, q, stage_options, &*lu, &*lv));
-    ExpPotentials(scaling.lu, u);
-    ExpPotentials(scaling.lv, v);
-    stage.iterations = scaling.iterations;
-    stage.converged = scaling.converged;
-    return stage;
-  }
-
   // Dense linear kernels build from an in-memory cost; a function-backed
   // provider on the dense path falls back to a cutoff-0 sparse kernel
   // (same support, streamed build) so the stage never materializes the
   // cost matrix.
-  const linalg::Matrix* dense_cost = cost.AsMatrix();
-  const bool use_sparse = sparse || dense_cost == nullptr;
-  const double stage_cutoff = sparse ? cutoff : 0.0;
-  std::unique_ptr<const linalg::TransportKernel> kernel;
-  if (use_sparse && f32) {
-    std::shared_ptr<const linalg::SparseKernelStorageF32> shared;
-    if (auto hit = session.Find()) shared = hit->sparse_f32;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::SparseTransportKernelF32>(
-          std::move(shared), threads, pool);
-    } else {
-      auto built_kernel = linalg::SparseTransportKernelF32::FromCost(
-          cost, eps, stage_cutoff, threads, pool);
-      core::CachedKernel built;
-      built.sparse_f32 = built_kernel.shared_storage();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::SparseTransportKernelF32>(
-          std::move(built_kernel));
-    }
-  } else if (use_sparse) {
-    std::shared_ptr<const linalg::SparseKernelStorage> shared;
-    if (auto hit = session.Find()) shared = hit->sparse;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::SparseTransportKernel>(
-          std::move(shared), threads, pool);
-    } else {
-      auto built_kernel = linalg::SparseTransportKernel::FromCost(
-          cost, eps, stage_cutoff, threads, pool);
-      core::CachedKernel built;
-      built.sparse = built_kernel.shared_storage();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::SparseTransportKernel>(
-          std::move(built_kernel));
-    }
-  } else if (f32) {
-    std::shared_ptr<const linalg::DenseKernelStorageF32> shared;
-    if (auto hit = session.Find()) shared = hit->dense_f32;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::DenseTransportKernelF32>(
-          std::move(shared), threads, pool);
-    } else {
-      auto built_kernel = linalg::DenseTransportKernelF32::FromCost(
-          *dense_cost, eps, threads, pool);
-      core::CachedKernel built;
-      built.dense_f32 = built_kernel.shared_storage();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::DenseTransportKernelF32>(
-          std::move(built_kernel));
-    }
-  } else {
-    std::shared_ptr<const linalg::Matrix> shared;
-    if (auto hit = session.Find()) shared = hit->dense;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::DenseTransportKernel>(
-          std::move(shared), threads, pool);
-    } else {
-      auto built_kernel = linalg::DenseTransportKernel::FromCost(
-          *dense_cost, eps, threads, pool);
-      core::CachedKernel built;
-      built.dense = built_kernel.shared_kernel();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::DenseTransportKernel>(
-          std::move(built_kernel));
-    }
-  }
-  OTCLEAN_ASSIGN_OR_RETURN(
-      SinkhornScaling scaling,
-      RunSinkhornScaling(*kernel, p, q, stage_options, &u, &v));
-  u = std::move(scaling.u);
-  v = std::move(scaling.v);
-  stage.iterations = scaling.iterations;
-  stage.converged = scaling.converged;
-  return stage;
+  const bool csr = sparse || (!stage_options.log_domain &&
+                              cost.AsMatrix() == nullptr);
+  const KernelSpec spec =
+      SpecFor(stage_options, csr, sparse ? cutoff : 0.0, pool);
+  const KernelBuild build = MakeKernel(cost, spec, stage_options.solve_cache,
+                                       SolveKey(cost, stage_options, spec));
+  // No per-stage support check: a stage ε exceeds the final ε, so its
+  // truncated kept-set is a superset of the final kernel's — the final
+  // solve's check governs. An emptied stage row merely yields a zero
+  // potential there, which the final solve overwrites or rejects.
+  return std::visit(
+      [&](const auto& kernel) -> Result<EpsilonAnnealStage> {
+        using K = std::decay_t<decltype(kernel)>;
+        OTCLEAN_ASSIGN_OR_RETURN(
+            SinkhornScaling s,
+            RunEngine(kernel, p, q, stage_options, &u, &v));
+        ToLinearScalings<K>(s);
+        u = std::move(s.u);
+        v = std::move(s.v);
+        return EpsilonAnnealStage{stage_options.epsilon, s.iterations,
+                                  s.converged};
+      },
+      build.kernel);
 }
 
-/// Log-domain dense solve: a thin client of RunSinkhornLogScaling over a
-/// DenseLogTransportKernel — the same engine loop, SIMD'd streamed-LSE
-/// primitives, and thread pool as every other variant (this replaces the
-/// seed's one-off loop that re-read the cost matrix twice per iteration).
-Result<SinkhornResult> RunSinkhornLogDomain(const linalg::Matrix& cost,
-                                            const linalg::Vector& p,
-                                            const linalg::Vector& q,
-                                            const SinkhornOptions& options,
-                                            const linalg::Vector* warm_u,
-                                            const linalg::Vector* warm_v,
-                                            linalg::ThreadPool* pool) {
-  CacheSession session(options, cost.rows(), cost.cols(), /*cutoff=*/0.0);
+/// The shared body of RunSinkhorn and RunSinkhornSparse once inputs are
+/// validated: warm store, ε-annealing, the (cache-aware) kernel, the
+/// engine loop, then π and ⟨C, π⟩ at the converged potentials. `Out`
+/// picks the plan storage — a dense plan for SinkhornResult, CSR for
+/// SparseSinkhornResult.
+template <typename Out>
+Result<Out> SolveOnKernel(const linalg::CostProvider& cost,
+                          const linalg::Vector& p, const linalg::Vector& q,
+                          const SinkhornOptions& options,
+                          const KernelSpec& spec, const linalg::Vector* warm_u,
+                          const linalg::Vector* warm_v, const char* where) {
+  CacheSession session(options, SolveKey(cost, options, spec));
   session.MaybeWarm(warm_u, warm_v);
   EpsilonAnnealWarmStart anneal;
   if (ShouldAnneal(options, warm_u, warm_v)) {
     OTCLEAN_ASSIGN_OR_RETURN(
-        anneal,
-        RunSinkhornAnnealed(linalg::MatrixCostProvider(cost), p, q, options,
-                            /*sparse=*/false, /*cutoff=*/0.0, pool));
+        anneal, RunSinkhornAnnealed(cost, p, q, options, spec.sparse,
+                                    spec.cutoff, spec.pool));
     warm_u = &anneal.u;
     warm_v = &anneal.v;
   }
-  std::unique_ptr<const linalg::LogTransportKernel> kernel;
-  if (options.precision == linalg::Precision::kFloat32) {
-    std::shared_ptr<const linalg::DenseKernelStorageF32> shared;
-    if (auto hit = session.Find()) shared = hit->dense_f32;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::DenseLogTransportKernelF32>(
-          std::move(shared), options.num_threads, pool);
-    } else {
-      auto built_kernel = linalg::DenseLogTransportKernelF32::FromCost(
-          cost, options.epsilon, options.num_threads, pool);
-      core::CachedKernel built;
-      built.dense_f32 = built_kernel.shared_storage();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::DenseLogTransportKernelF32>(
-          std::move(built_kernel));
-    }
-  } else {
-    std::shared_ptr<const linalg::Matrix> shared;
-    if (auto hit = session.Find()) shared = hit->dense;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::DenseLogTransportKernel>(
-          std::move(shared), options.num_threads, pool);
-    } else {
-      auto built_kernel = linalg::DenseLogTransportKernel::FromCost(
-          cost, options.epsilon, options.num_threads, pool);
-      core::CachedKernel built;
-      built.dense = built_kernel.shared_log_kernel();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::DenseLogTransportKernel>(
-          std::move(built_kernel));
-    }
-  }
-  std::optional<linalg::Vector> warm_lu, warm_lv;
-  WarmLogPotentials(warm_u, cost.rows(), warm_lu);
-  WarmLogPotentials(warm_v, cost.cols(), warm_lv);
-  OTCLEAN_ASSIGN_OR_RETURN(
-      SinkhornLogScaling scaling,
-      RunSinkhornLogScaling(*kernel, p, q, options,
-                            warm_lu ? &*warm_lu : nullptr,
-                            warm_lv ? &*warm_lv : nullptr));
-
-  SinkhornResult result;
-  result.plan = kernel->ScaleToPlan(scaling.lu, scaling.lv);
-  result.transport_cost =
-      kernel->TransportCost(linalg::MatrixCostProvider(cost), scaling.lu,
-                            scaling.lv);
-  ExpPotentials(scaling.lu, result.u);
-  ExpPotentials(scaling.lv, result.v);
-  result.iterations = scaling.iterations;
-  result.converged = scaling.converged;
-  result.anneal_stages = std::move(anneal.stages);
-  session.Finish(result.u, result.v, result.iterations, result.converged);
-  return result;
+  const KernelBuild build =
+      MakeKernel(cost, spec, options.solve_cache, session.key);
+  // Hard-marginal mode must reach every row and column carrying mass.
+  // Relaxed mode only soft-matches the target marginal, so an unreachable
+  // column legitimately ends up under-served — check rows only (stranded
+  // *source* mass silently degrades repairs to the identity either way).
+  const linalg::Vector* q_check = options.relaxed ? nullptr : &q;
+  return std::visit(
+      [&](const auto& kernel) -> Result<Out> {
+        using K = std::decay_t<decltype(kernel)>;
+        if constexpr (kIsSparseKernel<K>) {
+          // Support depends on p/q, not just the kernel — re-check on hits.
+          OTCLEAN_RETURN_NOT_OK(CheckTruncatedKernelSupport(
+              *kernel.shared_storage(), &p, q_check, where));
+        }
+        OTCLEAN_ASSIGN_OR_RETURN(
+            SinkhornScaling s,
+            RunEngine(kernel, p, q, options, warm_u, warm_v));
+        Out result;
+        MaterializePlan(kernel, s, result.plan);
+        result.transport_cost = kernel.TransportCost(cost, s.u, s.v);
+        ToLinearScalings<K>(s);
+        result.u = std::move(s.u);
+        result.v = std::move(s.v);
+        result.iterations = s.iterations;
+        result.converged = s.converged;
+        result.anneal_stages = std::move(anneal.stages);
+        session.Finish(result.u, result.v, result.iterations,
+                       result.converged);
+        return result;
+      },
+      build.kernel);
 }
 
 }  // namespace
@@ -763,16 +663,10 @@ Result<SinkhornResult> RunSinkhorn(const linalg::Matrix& cost,
                                    const SinkhornOptions& options,
                                    const linalg::Vector* warm_u,
                                    const linalg::Vector* warm_v) {
-  if (Status s = ValidateInputs("RunSinkhorn", linalg::MatrixCostProvider(cost),
-                                p, q, options);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = ValidateWarmStart("RunSinkhorn", warm_u, cost.rows(), warm_v,
-                                   cost.cols());
-      !s.ok()) {
-    return s;
-  }
+  const linalg::MatrixCostProvider provider(cost);
+  OTCLEAN_RETURN_NOT_OK(ValidateInputs("RunSinkhorn", provider, p, q, options));
+  OTCLEAN_RETURN_NOT_OK(ValidateWarmStart("RunSinkhorn", warm_u, cost.rows(),
+                                          warm_v, cost.cols()));
   // Entry stop check: an already-fired token / expired deadline aborts
   // before any kernel is built (or fetched and pinned from the cache).
   OTCLEAN_RETURN_NOT_OK(
@@ -780,102 +674,12 @@ Result<SinkhornResult> RunSinkhorn(const linalg::Matrix& cost,
   std::optional<linalg::ThreadPool> owned_pool;
   linalg::ThreadPool* pool = linalg::ResolveSolvePool(
       options.thread_pool, options.num_threads, owned_pool);
-  if (options.log_domain) {
-    return RunSinkhornLogDomain(cost, p, q, options, warm_u, warm_v, pool);
-  }
-
-  CacheSession session(options, cost.rows(), cost.cols(), /*cutoff=*/0.0);
-  session.MaybeWarm(warm_u, warm_v);
-  EpsilonAnnealWarmStart anneal;
-  if (ShouldAnneal(options, warm_u, warm_v)) {
-    OTCLEAN_ASSIGN_OR_RETURN(
-        anneal,
-        RunSinkhornAnnealed(linalg::MatrixCostProvider(cost), p, q, options,
-                            /*sparse=*/false, /*cutoff=*/0.0, pool));
-    warm_u = &anneal.u;
-    warm_v = &anneal.v;
-  }
-  std::unique_ptr<const linalg::TransportKernel> kernel;
-  if (options.precision == linalg::Precision::kFloat32) {
-    std::shared_ptr<const linalg::DenseKernelStorageF32> shared;
-    if (auto hit = session.Find()) shared = hit->dense_f32;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::DenseTransportKernelF32>(
-          std::move(shared), options.num_threads, pool);
-    } else {
-      auto built_kernel = linalg::DenseTransportKernelF32::FromCost(
-          cost, options.epsilon, options.num_threads, pool);
-      core::CachedKernel built;
-      built.dense_f32 = built_kernel.shared_storage();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::DenseTransportKernelF32>(
-          std::move(built_kernel));
-    }
-  } else {
-    std::shared_ptr<const linalg::Matrix> shared;
-    if (auto hit = session.Find()) shared = hit->dense;
-    if (shared != nullptr) {
-      kernel = std::make_unique<linalg::DenseTransportKernel>(
-          std::move(shared), options.num_threads, pool);
-    } else {
-      auto built_kernel = linalg::DenseTransportKernel::FromCost(
-          cost, options.epsilon, options.num_threads, pool);
-      core::CachedKernel built;
-      built.dense = built_kernel.shared_kernel();
-      session.Publish(std::move(built));
-      kernel = std::make_unique<linalg::DenseTransportKernel>(
-          std::move(built_kernel));
-    }
-  }
-  OTCLEAN_ASSIGN_OR_RETURN(
-      SinkhornScaling scaling,
-      RunSinkhornScaling(*kernel, p, q, options, warm_u, warm_v));
-
-  SinkhornResult result;
-  result.plan = kernel->ScaleToPlan(scaling.u, scaling.v);
-  result.transport_cost = kernel->TransportCost(cost, scaling.u, scaling.v);
-  result.u = std::move(scaling.u);
-  result.v = std::move(scaling.v);
-  result.iterations = scaling.iterations;
-  result.converged = scaling.converged;
-  result.anneal_stages = std::move(anneal.stages);
-  session.Finish(result.u, result.v, result.iterations, result.converged);
-  return result;
+  return SolveOnKernel<SinkhornResult>(
+      provider, p, q, options, SpecFor(options, /*sparse=*/false, 0.0, pool),
+      warm_u, warm_v, "RunSinkhorn");
 }
 
-Status CheckTruncatedKernelSupport(const linalg::SparseMatrix& kernel,
-                                   const linalg::Vector* p,
-                                   const linalg::Vector* q,
-                                   const char* where) {
-  const auto& row_ptr = kernel.row_ptr();
-  if (p != nullptr) {
-    for (size_t r = 0; r < kernel.rows(); ++r) {
-      if ((*p)[r] > 0.0 && row_ptr[r + 1] == row_ptr[r]) {
-        return Status::InvalidArgument(
-            std::string(where) + ": truncation emptied kernel row " +
-            std::to_string(r) + " which carries source mass " +
-            std::to_string((*p)[r]) +
-            " — that mass would be stranded; lower the kernel cutoff");
-      }
-    }
-  }
-  if (q != nullptr) {
-    std::vector<bool> col_nonempty(kernel.cols(), false);
-    for (size_t c : kernel.col_index()) col_nonempty[c] = true;
-    for (size_t c = 0; c < kernel.cols(); ++c) {
-      if ((*q)[c] > 0.0 && !col_nonempty[c]) {
-        return Status::InvalidArgument(
-            std::string(where) + ": truncation emptied kernel column " +
-            std::to_string(c) + " which carries target mass " +
-            std::to_string((*q)[c]) +
-            " — that mass would be stranded; lower the kernel cutoff");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status CheckTruncatedKernelSupport(const linalg::SparseKernelStorageF32& kernel,
+Status CheckTruncatedKernelSupport(const linalg::SparsePattern& kernel,
                                    const linalg::Vector* p,
                                    const linalg::Vector* q,
                                    const char* where) {
@@ -973,205 +777,28 @@ double PlanEntropy(const linalg::Matrix& plan) {
   return h;
 }
 
-namespace {
-
-/// Shared tail of the sparse linear branches (f64 and f32 kernels):
-/// engine loop + CSR plan + streamed cost + warm-store bookkeeping.
-template <typename Kernel>
-Result<SparseSinkhornResult> FinishSparseLinear(
-    const Kernel& kernel, const linalg::CostProvider& cost,
-    const linalg::Vector& p, const linalg::Vector& q,
-    const SinkhornOptions& options, const linalg::Vector* warm_u,
-    const linalg::Vector* warm_v, CacheSession& session) {
-  OTCLEAN_ASSIGN_OR_RETURN(
-      SinkhornScaling scaling,
-      RunSinkhornScaling(kernel, p, q, options, warm_u, warm_v));
-  SparseSinkhornResult result;
-  result.plan = kernel.ScaleToPlanSparse(scaling.u, scaling.v);
-  result.transport_cost = kernel.TransportCost(cost, scaling.u, scaling.v);
-  result.u = std::move(scaling.u);
-  result.v = std::move(scaling.v);
-  result.iterations = scaling.iterations;
-  result.converged = scaling.converged;
-  session.Finish(result.u, result.v, result.iterations, result.converged);
-  return result;
-}
-
-/// Log twin: lifts linear warm starts to log-potentials and exps the
-/// converged potentials back.
-template <typename Kernel>
-Result<SparseSinkhornResult> FinishSparseLog(
-    const Kernel& kernel, const linalg::CostProvider& cost,
-    const linalg::Vector& p, const linalg::Vector& q,
-    const SinkhornOptions& options, const linalg::Vector* warm_u,
-    const linalg::Vector* warm_v, CacheSession& session) {
-  std::optional<linalg::Vector> warm_lu, warm_lv;
-  WarmLogPotentials(warm_u, cost.rows(), warm_lu);
-  WarmLogPotentials(warm_v, cost.cols(), warm_lv);
-  OTCLEAN_ASSIGN_OR_RETURN(
-      SinkhornLogScaling scaling,
-      RunSinkhornLogScaling(kernel, p, q, options,
-                            warm_lu ? &*warm_lu : nullptr,
-                            warm_lv ? &*warm_lv : nullptr));
-  SparseSinkhornResult result;
-  result.plan = kernel.ScaleToPlanSparse(scaling.lu, scaling.lv);
-  result.transport_cost = kernel.TransportCost(cost, scaling.lu, scaling.lv);
-  ExpPotentials(scaling.lu, result.u);
-  ExpPotentials(scaling.lv, result.v);
-  result.iterations = scaling.iterations;
-  result.converged = scaling.converged;
-  session.Finish(result.u, result.v, result.iterations, result.converged);
-  return result;
-}
-
-}  // namespace
-
 Result<SparseSinkhornResult> RunSinkhornSparse(
     const linalg::CostProvider& cost, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options,
     double kernel_cutoff, const linalg::Vector* warm_u,
     const linalg::Vector* warm_v) {
-  if (Status s = ValidateInputs("RunSinkhornSparse", cost, p, q, options);
-      !s.ok()) {
-    return s;
-  }
+  OTCLEAN_RETURN_NOT_OK(
+      ValidateInputs("RunSinkhornSparse", cost, p, q, options));
   if (kernel_cutoff < 0.0) {
     return Status::InvalidArgument(
         "RunSinkhornSparse: kernel_cutoff must be >= 0");
   }
-  if (Status s = ValidateWarmStart("RunSinkhornSparse", warm_u, cost.rows(),
-                                   warm_v, cost.cols());
-      !s.ok()) {
-    return s;
-  }
+  OTCLEAN_RETURN_NOT_OK(ValidateWarmStart("RunSinkhornSparse", warm_u,
+                                          cost.rows(), warm_v, cost.cols()));
   OTCLEAN_RETURN_NOT_OK(
       CheckStop(options.cancel_token, options.deadline, "RunSinkhornSparse"));
-
   std::optional<linalg::ThreadPool> owned_pool;
   linalg::ThreadPool* pool = linalg::ResolveSolvePool(
       options.thread_pool, options.num_threads, owned_pool);
-
-  // Hard-marginal mode must reach every row and column carrying mass.
-  // Relaxed mode only soft-matches the target marginal, so an unreachable
-  // column legitimately ends up under-served — check rows only (stranded
-  // *source* mass silently degrades repairs to the identity either way).
-  // Linear and log-domain kernels share one kept-set, so the check is the
-  // same for both.
-  const linalg::Vector* q_check = options.relaxed ? nullptr : &q;
-
-  CacheSession session(options, cost.rows(), cost.cols(), kernel_cutoff);
-  session.MaybeWarm(warm_u, warm_v);
-  EpsilonAnnealWarmStart anneal;
-  if (ShouldAnneal(options, warm_u, warm_v)) {
-    OTCLEAN_ASSIGN_OR_RETURN(
-        anneal, RunSinkhornAnnealed(cost, p, q, options, /*sparse=*/true,
-                                    kernel_cutoff, pool));
-    warm_u = &anneal.u;
-    warm_v = &anneal.v;
-  }
-
-  const bool f32 = options.precision == linalg::Precision::kFloat32;
-  SparseSinkhornResult result;
-  if (options.log_domain && f32) {
-    std::shared_ptr<const linalg::SparseKernelStorageF32> shared;
-    if (auto hit = session.Find()) shared = hit->sparse_f32;
-    const bool kernel_hit = shared != nullptr;
-    const linalg::SparseLogTransportKernelF32 kernel =
-        kernel_hit
-            ? linalg::SparseLogTransportKernelF32(std::move(shared),
-                                                  options.num_threads, pool)
-            : linalg::SparseLogTransportKernelF32::FromCost(
-                  cost, options.epsilon, kernel_cutoff, options.num_threads,
-                  pool);
-    if (!kernel_hit) {
-      core::CachedKernel built;
-      built.sparse_f32 = kernel.shared_storage();
-      session.Publish(std::move(built));
-    }
-    // Support depends on p/q, not just the kernel — re-check on hits too.
-    if (Status s = CheckTruncatedKernelSupport(*kernel.shared_storage(), &p,
-                                               q_check, "RunSinkhornSparse");
-        !s.ok()) {
-      return s;
-    }
-    OTCLEAN_ASSIGN_OR_RETURN(
-        result, FinishSparseLog(kernel, cost, p, q, options, warm_u, warm_v,
-                                session));
-  } else if (options.log_domain) {
-    std::shared_ptr<const linalg::SparseKernelStorage> shared;
-    if (auto hit = session.Find()) shared = hit->sparse;
-    const bool kernel_hit = shared != nullptr;
-    const linalg::SparseLogTransportKernel kernel =
-        kernel_hit
-            ? linalg::SparseLogTransportKernel(std::move(shared),
-                                               options.num_threads, pool)
-            : linalg::SparseLogTransportKernel::FromCost(
-                  cost, options.epsilon, kernel_cutoff, options.num_threads,
-                  pool);
-    if (!kernel_hit) {
-      core::CachedKernel built;
-      built.sparse = kernel.shared_storage();
-      session.Publish(std::move(built));
-    }
-    // Support depends on p/q, not just the kernel — re-check on hits too.
-    if (Status s = CheckTruncatedKernelSupport(kernel.log_kernel(), &p,
-                                               q_check, "RunSinkhornSparse");
-        !s.ok()) {
-      return s;
-    }
-    OTCLEAN_ASSIGN_OR_RETURN(
-        result, FinishSparseLog(kernel, cost, p, q, options, warm_u, warm_v,
-                                session));
-  } else if (f32) {
-    std::shared_ptr<const linalg::SparseKernelStorageF32> shared;
-    if (auto hit = session.Find()) shared = hit->sparse_f32;
-    const bool kernel_hit = shared != nullptr;
-    const linalg::SparseTransportKernelF32 kernel =
-        kernel_hit ? linalg::SparseTransportKernelF32(std::move(shared),
-                                                      options.num_threads,
-                                                      pool)
-                   : linalg::SparseTransportKernelF32::FromCost(
-                         cost, options.epsilon, kernel_cutoff,
-                         options.num_threads, pool);
-    if (!kernel_hit) {
-      core::CachedKernel built;
-      built.sparse_f32 = kernel.shared_storage();
-      session.Publish(std::move(built));
-    }
-    if (Status s = CheckTruncatedKernelSupport(*kernel.shared_storage(), &p,
-                                               q_check, "RunSinkhornSparse");
-        !s.ok()) {
-      return s;
-    }
-    OTCLEAN_ASSIGN_OR_RETURN(
-        result, FinishSparseLinear(kernel, cost, p, q, options, warm_u,
-                                   warm_v, session));
-  } else {
-    std::shared_ptr<const linalg::SparseKernelStorage> shared;
-    if (auto hit = session.Find()) shared = hit->sparse;
-    const bool kernel_hit = shared != nullptr;
-    const linalg::SparseTransportKernel kernel =
-        kernel_hit ? linalg::SparseTransportKernel(std::move(shared),
-                                                   options.num_threads, pool)
-                   : linalg::SparseTransportKernel::FromCost(
-                         cost, options.epsilon, kernel_cutoff,
-                         options.num_threads, pool);
-    if (!kernel_hit) {
-      core::CachedKernel built;
-      built.sparse = kernel.shared_storage();
-      session.Publish(std::move(built));
-    }
-    if (Status s = CheckTruncatedKernelSupport(kernel.kernel(), &p, q_check,
-                                               "RunSinkhornSparse");
-        !s.ok()) {
-      return s;
-    }
-    OTCLEAN_ASSIGN_OR_RETURN(
-        result, FinishSparseLinear(kernel, cost, p, q, options, warm_u,
-                                   warm_v, session));
-  }
-  result.anneal_stages = std::move(anneal.stages);
-  return result;
+  return SolveOnKernel<SparseSinkhornResult>(
+      cost, p, q, options,
+      SpecFor(options, /*sparse=*/true, kernel_cutoff, pool), warm_u, warm_v,
+      "RunSinkhornSparse");
 }
 
 Result<SparseSinkhornResult> RunSinkhornSparse(

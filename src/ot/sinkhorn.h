@@ -17,10 +17,6 @@ namespace otclean::core {
 class SolveCache;
 }  // namespace otclean::core
 
-namespace otclean::linalg {
-struct SparseKernelStorageF32;
-}  // namespace otclean::linalg
-
 namespace otclean::ot {
 
 /// Parameters for entropic / relaxed optimal transport.
@@ -100,7 +96,7 @@ struct SinkhornOptions {
   /// RepairScheduler's executors) — pass one shared pool: ThreadPool
   /// accepts any number of concurrent dispatchers, and per-solve chunk
   /// decompositions never depend on what else shares the pool.
-  /// Pooled, spawned, and serial runs are bit-identical. Honored by RunSinkhorn /
+  /// Pooled and serial runs are bit-identical. Honored by RunSinkhorn /
   /// RunSinkhornSparse, which build the kernel; RunSinkhornScaling ignores
   /// it — there the pool binds at kernel construction, so pass it to the
   /// TransportKernel constructor instead.
@@ -304,16 +300,9 @@ Status ValidateFiniteCosts(const char* where,
 /// p[i] > 0 (and, when `q` is non-null, every column j with q[j] > 0) must
 /// hold at least one stored entry. Returns InvalidArgument naming the
 /// first offending row/column — the fix is a smaller truncation cutoff.
-Status CheckTruncatedKernelSupport(const linalg::SparseMatrix& kernel,
-                                   const linalg::Vector* p,
-                                   const linalg::Vector* q,
-                                   const char* where);
-
-/// Same check over an f32 sparse kernel storage. The f32 kept-set is
-/// decided in double, so this always agrees with the f64 check for the
-/// same (cost, ε, cutoff); column emptiness reads the CSC mirror's
-/// col_ptr directly instead of scanning col_index.
-Status CheckTruncatedKernelSupport(const linalg::SparseKernelStorageF32& kernel,
+/// Takes the sparsity pattern alone: the linear/log and f64/f32 kernels of
+/// one (cost, ε, cutoff) share it (the kept-set is decided in double).
+Status CheckTruncatedKernelSupport(const linalg::SparsePattern& kernel,
                                    const linalg::Vector* p,
                                    const linalg::Vector* q,
                                    const char* where);

@@ -11,7 +11,6 @@
 #include "common/random.h"
 #include "linalg/thread_pool.h"
 #include "linalg/transport_kernel.h"
-#include "linalg/transport_kernel_f32.h"
 #include "ot/sinkhorn.h"
 
 namespace otclean::linalg::simd {
@@ -305,25 +304,25 @@ TEST(SimdF32Test, F32LaneRecipesMatchScalarWithinUlps) {
     std::vector<float> kf(n);
     for (size_t i = 0; i < n; ++i) kf[i] = static_cast<float>(d.b[i]);
     ScopedIsa scoped(Isa::kScalar);
-    const double ref_dot = DotF32(kf.data(), d.a.data(), n);
-    const double ref_dot3 = Dot3F32(d.a.data(), kf.data(), d.c.data(), n);
+    const double ref_dot = Dot(kf.data(), d.a.data(), n);
+    const double ref_dot3 = Dot3(d.a.data(), kf.data(), d.c.data(), n);
     const double ref_gdot =
-        GatherDotF32(kf.data(), d.idx.data(), d.x.data(), n);
+        GatherDot(kf.data(), d.idx.data(), d.x.data(), n);
     const double ref_gdot3 =
-        GatherDot3F32(d.a.data(), kf.data(), d.idx.data(), d.x.data(), n);
+        GatherDot3(d.a.data(), kf.data(), d.idx.data(), d.x.data(), n);
     for (Isa isa : VectorIsas()) {
       SetIsa(isa);
       const double tol = ReduceTol(3.0 * n, n);
-      EXPECT_NEAR(DotF32(kf.data(), d.a.data(), n), ref_dot, tol)
+      EXPECT_NEAR(Dot(kf.data(), d.a.data(), n), ref_dot, tol)
           << IsaName(isa) << " n=" << n;
-      EXPECT_NEAR(Dot3F32(d.a.data(), kf.data(), d.c.data(), n), ref_dot3,
+      EXPECT_NEAR(Dot3(d.a.data(), kf.data(), d.c.data(), n), ref_dot3,
                   tol)
           << IsaName(isa) << " n=" << n;
-      EXPECT_NEAR(GatherDotF32(kf.data(), d.idx.data(), d.x.data(), n),
+      EXPECT_NEAR(GatherDot(kf.data(), d.idx.data(), d.x.data(), n),
                   ref_gdot, tol)
           << IsaName(isa) << " n=" << n;
       EXPECT_NEAR(
-          GatherDot3F32(d.a.data(), kf.data(), d.idx.data(), d.x.data(), n),
+          GatherDot3(d.a.data(), kf.data(), d.idx.data(), d.x.data(), n),
           ref_gdot3, tol)
           << IsaName(isa) << " n=" << n;
     }
@@ -340,11 +339,11 @@ TEST(SimdF32Test, F32ElementwiseRecipesAreBitIdenticalAcrossTiers) {
     std::vector<double> ref(n), out(n);
     {
       ScopedIsa scoped(Isa::kScalar);
-      ScaledHadamardF32(1.7, kf.data(), d.a.data(), ref.data(), n);
+      ScaledHadamard(1.7, kf.data(), d.a.data(), ref.data(), n);
     }
     for (Isa isa : VectorIsas()) {
       ScopedIsa scoped(isa);
-      ScaledHadamardF32(1.7, kf.data(), d.a.data(), out.data(), n);
+      ScaledHadamard(1.7, kf.data(), d.a.data(), out.data(), n);
       for (size_t i = 0; i < n; ++i) {
         ASSERT_EQ(out[i], ref[i]) << IsaName(isa) << " n=" << n << " i=" << i;
       }

@@ -455,6 +455,41 @@ TEST(SolveCacheRepairTest, RepeatedRepairHitsAndStaysBitIdentical) {
   EXPECT_EQ(cold->total_sinkhorn_iterations, hot->total_sinkhorn_iterations);
 }
 
+TEST(SolveCacheRepairTest, AnnealStageKernelNeverAliasesADenseJob) {
+  // A dense-path annealed repair builds its stage kernels as cutoff-0 CSR
+  // (the cost is function-backed). Those entries must be keyed as sparse:
+  // a later dense repair at a stage ε must miss, build its own dense
+  // kernel, publish it, and hit on the repeat — with the cache's hit
+  // counter agreeing with the hits the repairs report.
+  const dataset::Table table = MakeViolatingTable(33);
+  SolveCache cache;
+  RepairOptions annealed = FastRepairOptions();
+  annealed.fast.solve_cache = &cache;
+  annealed.fast.epsilon = 0.05;
+  annealed.fast.epsilon_schedule.initial_epsilon = 0.2;  // stages 0.2, 0.1
+  annealed.fast.epsilon_schedule.decay = 0.5;
+  RepairOptions at_stage = FastRepairOptions();
+  at_stage.fast.solve_cache = &cache;
+  at_stage.fast.epsilon = 0.1;
+
+  size_t reported_hits = 0;
+  Result<RepairReport> first = RepairTable(table, XyGivenZ(), annealed);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  ASSERT_EQ(first->anneal_stages.size(), 2u);
+  reported_hits += first->cache_kernel_hits;
+  Result<RepairReport> cold = RepairTable(table, XyGivenZ(), at_stage);
+  ASSERT_TRUE(cold.ok()) << cold.status().message();
+  EXPECT_EQ(cold->cache_kernel_hits, 0u);
+  reported_hits += cold->cache_kernel_hits;
+  Result<RepairReport> repeat = RepairTable(table, XyGivenZ(), at_stage);
+  ASSERT_TRUE(repeat.ok()) << repeat.status().message();
+  EXPECT_EQ(repeat->cache_kernel_hits, 1u);
+  reported_hits += repeat->cache_kernel_hits;
+
+  EXPECT_EQ(cache.Stats().kernel_hits, reported_hits);
+  EXPECT_EQ(cold->transport_cost, repeat->transport_cost);
+}
+
 TEST(SolveCacheRepairTest, CacheWarmStartSavesIterationsAcrossRepairs) {
   const dataset::Table table = MakeViolatingTable(32);
   SolveCache cache;
