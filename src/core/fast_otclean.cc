@@ -6,6 +6,7 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -24,9 +25,10 @@ namespace {
 
 /// The repair's one kernel, built ONCE per repair through ot::MakeKernel —
 /// cost and ε are invariant across the outer loop, so each outer step only
-/// reruns the (warm-started) scaling loop. In log-domain mode the
-/// "potentials" threaded through the outer loop (and its warm starts) are
-/// LOG-potentials; the struct is the only place that needs to know.
+/// reruns the (warm-started) scaling loop through ot::RunEngine. In
+/// log-domain mode the potentials threaded through the outer loop are
+/// LOG-potentials; this struct holds what the outer loop alone needs from
+/// them — the column marginal, ⟨C, π⟩ and the final plan.
 ///
 /// The truncated paths are cost-free in the O(rows×cols) sense: the
 /// kernel is built by streaming the CostProvider tile-by-tile, and every
@@ -50,53 +52,6 @@ struct OuterLoopKernel {
   template <typename Fn>
   decltype(auto) Visit(Fn&& fn) const {
     return std::visit(std::forward<Fn>(fn), build.kernel);
-  }
-
-  bool log_domain() const {
-    return Visit([](const auto& k) {
-      return ot::kIsLogKernel<std::decay_t<decltype(k)>>;
-    });
-  }
-
-  size_t nnz() const {
-    return Visit([](const auto& k) { return k.nnz(); });
-  }
-
-  /// Truncation must not strand source mass: every active-domain row needs
-  /// at least one surviving kernel entry. (Columns may legitimately go
-  /// empty — the relaxed target marginal simply never reaches them.) All
-  /// four sparse kernels of one (cost, ε, cutoff) share the kept-set.
-  Status CheckSupport(const linalg::Vector& p, const char* where) const {
-    return Visit([&](const auto& k) {
-      if constexpr (ot::kIsSparseKernel<std::decay_t<decltype(k)>>) {
-        return ot::CheckTruncatedKernelSupport(*k.shared_storage(), &p,
-                                               /*q=*/nullptr, where);
-      } else {
-        return Status::OK();
-      }
-    });
-  }
-
-  /// One inner Sinkhorn solve against the current column marginal. The
-  /// returned (and warm-start) u/v vectors are linear scalings on the
-  /// linear paths and log-potentials on the log paths — opaque to the
-  /// outer loop, which only threads them back in.
-  Result<ot::SinkhornScaling> Solve(const linalg::Vector& p,
-                                    const linalg::Vector& q_cols,
-                                    const ot::SinkhornOptions& sink,
-                                    const linalg::Vector* warm_u,
-                                    const linalg::Vector* warm_v) const {
-    return Visit([&](const auto& k) -> Result<ot::SinkhornScaling> {
-      if constexpr (ot::kIsLogKernel<std::decay_t<decltype(k)>>) {
-        OTCLEAN_ASSIGN_OR_RETURN(
-            ot::SinkhornLogScaling s,
-            ot::RunSinkhornLogScaling(k, p, q_cols, sink, warm_u, warm_v));
-        return ot::SinkhornScaling{std::move(s.lu), std::move(s.lv),
-                                   s.iterations, s.converged};
-      } else {
-        return ot::RunSinkhornScaling(k, p, q_cols, sink, warm_u, warm_v);
-      }
-    });
   }
 
   /// Column marginal of the plan at the current potentials, without
@@ -177,6 +132,28 @@ ot::KernelSpec FastKernelSpec(const FastOtCleanOptions& options,
   return spec;
 }
 
+/// The relaxed inner-solve options of a repair. They also carry what
+/// ot::SeedSolve reads to seed the first solve — the warm-start store and
+/// the ε schedule — both gated on `warm_start`, since an unwarmed loop
+/// would throw the seed away. The engine ignores those fields.
+ot::SinkhornOptions InnerSolveOptions(const FastOtCleanOptions& options) {
+  ot::SinkhornOptions sink;
+  sink.epsilon = options.epsilon;
+  sink.lambda = options.lambda;
+  sink.relaxed = true;
+  sink.max_iterations = options.max_sinkhorn_iterations;
+  sink.tolerance = options.sinkhorn_tolerance;
+  sink.log_domain = options.log_domain;
+  sink.num_threads = options.num_threads;
+  sink.precision = options.precision;
+  sink.cancel_token = options.cancel_token;
+  sink.deadline = options.deadline;
+  sink.solve_cache = options.solve_cache;
+  sink.cache_warm_start = options.warm_start && options.cache_warm_start;
+  if (options.warm_start) sink.epsilon_schedule = options.epsilon_schedule;
+  return sink;
+}
+
 /// FaultSite::kAlloc checkpoint: models the outer-loop kernel allocation
 /// failing. Thrown rather than returned so the unwind path — cache pins
 /// released, pool and caller state intact — is exercised exactly as a real
@@ -250,113 +227,6 @@ uint64_t FastCostFingerprint(const ot::CostFunction& cost,
   return h == 0 ? 1 : h;
 }
 
-/// The warm-start store speaks linear-domain potentials regardless of the
-/// solve's domain mode (one canonical representation per key namespace);
-/// the log paths lift on fetch and exponentiate on store.
-void LiftWarmToLog(linalg::Vector& w) {
-  for (size_t i = 0; i < w.size(); ++i) {
-    w[i] = w[i] > 0.0 ? std::log(w[i])
-                      : -std::numeric_limits<double>::infinity();
-  }
-}
-
-linalg::Vector WarmToLinear(const linalg::Vector& w, bool log_domain) {
-  if (!log_domain) return w;
-  linalg::Vector out(w.size());
-  for (size_t i = 0; i < w.size(); ++i) {
-    out[i] = std::isfinite(w[i]) ? std::exp(w[i]) : 0.0;
-  }
-  return out;
-}
-
-/// ε-annealing for the first inner solve: when the schedule is enabled,
-/// the caller's warm_start plumbing is on, and no (warmer) cached warm
-/// start was fetched, runs the larger-ε stage sequence against the
-/// *initial* column marginal and leaves the rescaled potentials in
-/// warm_u/warm_v (lifted to log-potentials on the log paths, matching the
-/// outer loop's representation). Later outer steps stay warm off the
-/// previous step as usual. Stage kernels share `options.solve_cache`
-/// under per-ε keys seeded by `fast_fingerprint`.
-Status MaybeAnnealFirstSolve(const linalg::CostProvider& cost_view,
-                             const linalg::Vector& p,
-                             const prob::JointDistribution& q,
-                             const std::vector<size_t>& col_cells,
-                             const FastOtCleanOptions& options,
-                             const ot::SinkhornOptions& sink,
-                             uint64_t fast_fingerprint, bool log_domain,
-                             linalg::ThreadPool* pool, linalg::Vector& warm_u,
-                             linalg::Vector& warm_v,
-                             FastOtCleanResult& result) {
-  if (!options.epsilon_schedule.enabled() || !options.warm_start ||
-      result.cache_warm_started) {
-    return Status::OK();
-  }
-  linalg::Vector q_cols(col_cells.size());
-  for (size_t j = 0; j < col_cells.size(); ++j) q_cols[j] = q[col_cells[j]];
-  ot::SinkhornOptions anneal = sink;
-  anneal.epsilon_schedule = options.epsilon_schedule;
-  anneal.solve_cache = options.solve_cache;
-  anneal.cache_cost_fingerprint = fast_fingerprint;
-  OTCLEAN_ASSIGN_OR_RETURN(
-      ot::EpsilonAnnealWarmStart aw,
-      ot::RunSinkhornAnnealed(cost_view, p, q_cols, anneal,
-                              /*sparse=*/options.kernel_truncation > 0.0,
-                              options.kernel_truncation, pool));
-  warm_u = std::move(aw.u);
-  warm_v = std::move(aw.v);
-  if (log_domain) {
-    LiftWarmToLog(warm_u);
-    LiftWarmToLog(warm_v);
-  }
-  result.anneal_stages = std::move(aw.stages);
-  return Status::OK();
-}
-
-/// Cross-request warm start (fetch side): seeds the outer loop's warm
-/// vectors from the cache when enabled, sizes match, and the caller's own
-/// warm_start plumbing will pick them up. Returns the stored cold
-/// baseline via `cold_iterations`.
-bool FetchCachedWarmStart(SolveCache* cache, const SolveCacheKey& key,
-                          const FastOtCleanOptions& options, size_t rows,
-                          size_t cols, bool log_domain, linalg::Vector& warm_u,
-                          linalg::Vector& warm_v, size_t& cold_iterations) {
-  if (cache == nullptr || !key.valid()) return false;
-  if (!options.warm_start || !options.cache_warm_start) return false;
-  auto stored = cache->FindWarmStart(key);
-  if (!stored) return false;
-  if (stored->u.size() != rows || stored->v.size() != cols) return false;
-  warm_u = std::move(stored->u);
-  warm_v = std::move(stored->v);
-  if (log_domain) {
-    LiftWarmToLog(warm_u);
-    LiftWarmToLog(warm_v);
-  }
-  cold_iterations = stored->cold_iterations;
-  return true;
-}
-
-/// Store side: persists the converged potentials (linear domain) and
-/// credits iteration savings against the key's cold baseline.
-void StoreCachedWarmStart(SolveCache* cache, const SolveCacheKey& key,
-                          const FastOtCleanOptions& options, bool log_domain,
-                          const linalg::Vector& warm_u,
-                          const linalg::Vector& warm_v,
-                          size_t cold_iterations, FastOtCleanResult& result) {
-  if (cache == nullptr || !key.valid()) return;
-  if (!options.warm_start || !options.cache_warm_start || !result.converged) {
-    return;
-  }
-  cache->StoreWarmStart(key, WarmToLinear(warm_u, log_domain),
-                        WarmToLinear(warm_v, log_domain),
-                        result.total_sinkhorn_iterations);
-  if (result.cache_warm_started &&
-      cold_iterations > result.total_sinkhorn_iterations) {
-    result.cache_warm_iterations_saved =
-        cold_iterations - result.total_sinkhorn_iterations;
-    cache->RecordWarmSavings(result.cache_warm_iterations_saved);
-  }
-}
-
 /// Expands a marginal over `cells` into a dense distribution over `dom`.
 prob::JointDistribution ExpandToDomain(const prob::Domain& dom,
                                        const std::vector<size_t>& cells,
@@ -427,34 +297,38 @@ prob::JointDistribution IterativeNmfProjection(
   return q;
 }
 
-}  // namespace
-
-Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
-                                      const prob::CiSpec& ci,
-                                      const ot::CostFunction& cost,
-                                      const FastOtCleanOptions& options,
-                                      Rng& rng) {
-  if (!options.iterative_nmf) {
-    // The closed-form single-constraint projection is the one-spec case of
-    // the cyclic multi-constraint projection.
-    return FastOtCleanMulti(p_data, {ci}, cost, options, rng);
-  }
+/// Algorithm 2's alternating loop, for one constraint or many: step A
+/// solves the relaxed OT problem against the current target Q on the
+/// repair's one kernel, step B re-projects the plan's target marginal onto
+/// the CI set. The projection is the only thing that varies: per-slice
+/// iterative KL-NMF (`iterative_nmf`, single constraint), else the cyclic
+/// multi-constraint I-projection, whose one-spec case is the closed-form
+/// rank-one projection. `where` names the public entry point in errors.
+Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
+                                       const std::vector<prob::CiSpec>& cis,
+                                       const ot::CostFunction& cost,
+                                       const FastOtCleanOptions& options,
+                                       Rng& rng, bool iterative_nmf,
+                                       const char* where) {
+  const std::string name(where);
   const prob::Domain& dom = p_data.domain();
   if (dom.TotalSize() == 0) {
-    return Status::InvalidArgument("FastOtClean: empty domain");
+    return Status::InvalidArgument(name + ": empty domain");
+  }
+  if (cis.empty()) {
+    return Status::InvalidArgument(name + ": no constraints");
   }
   if (std::fabs(p_data.Mass() - 1.0) > 1e-6) {
-    return Status::InvalidArgument("FastOtClean: p_data must be normalized");
+    return Status::InvalidArgument(name + ": p_data must be normalized");
   }
   if (options.ci_strength < 0.0 || options.ci_strength > 1.0) {
-    return Status::InvalidArgument("FastOtClean: ci_strength must be in [0,1]");
+    return Status::InvalidArgument(name + ": ci_strength must be in [0,1]");
   }
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("FastOtClean: epsilon must be positive");
-  }
+  ot::SinkhornOptions sink = InnerSolveOptions(options);
+  OTCLEAN_RETURN_NOT_OK(ot::ValidateSinkhornOptions(where, sink));
   if (options.max_outer_iterations == 0) {
-    return Status::InvalidArgument(
-        "FastOtClean: max_outer_iterations must be > 0");
+    return Status::InvalidArgument(name +
+                                   ": max_outer_iterations must be > 0");
   }
 
   // Active-domain restriction (Section 5, default optimization 1).
@@ -463,7 +337,7 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
     if (p_data[i] > 0.0) row_cells.push_back(i);
   }
   if (row_cells.empty()) {
-    return Status::InvalidArgument("FastOtClean: p_data carries no mass");
+    return Status::InvalidArgument(name + ": p_data carries no mass");
   }
   std::vector<size_t> col_cells;
   if (options.restrict_columns_to_active) {
@@ -483,11 +357,13 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
   // kernels — and NaN kernel entries void the SIMD max-reduction
   // contract. One extra streaming pass per repair; the iterations
   // dominate.
-  OTCLEAN_RETURN_NOT_OK(ot::ValidateFiniteCosts("FastOtClean", cost_view));
-  OTCLEAN_RETURN_NOT_OK(
-      CheckStop(options.cancel_token, options.deadline, "FastOtClean"));
+  OTCLEAN_RETURN_NOT_OK(ot::ValidateFiniteCosts(where, cost_view));
+  OTCLEAN_RETURN_NOT_OK(CheckStop(options.cancel_token, options.deadline, where));
 
-  // Fault sites, exactly as in FastOtCleanMulti below.
+  // kKernelNan fires here — past validation, so the NaN reaches the kernel
+  // build exactly like a runtime numeric blow-up would. A poisoned solve
+  // bypasses the cache entirely (fast_fp stays 0 below): a poisoned kernel
+  // must never be published under the clean cost's key.
   const bool poison_kernel =
       options.fault_injector != nullptr &&
       options.fault_injector->ShouldFire(FaultSite::kKernelNan);
@@ -496,27 +372,20 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
       poison_kernel ? static_cast<const linalg::CostProvider&>(poisoned_view)
                     : static_cast<const linalg::CostProvider&>(cost_view);
 
-  // Initial target distribution Q (Section 5, default optimization 2).
-  prob::JointDistribution q(dom);
-  if (options.nmf_init) {
-    q = prob::CiProjection(p_data, ci);
-  } else {
+  // Initial target distribution Q (Section 5, default optimization 2): the
+  // CI projection of P_D, or of a random distribution (a feasible start).
+  prob::JointDistribution q = p_data;
+  if (!options.nmf_init) {
     for (size_t i = 0; i < q.size(); ++i) q[i] = rng.NextDouble();
     q.Normalize();
-    q = prob::CiProjection(q, ci);  // random but feasible start
   }
-
-  ot::SinkhornOptions sink;
-  sink.epsilon = options.epsilon;
-  sink.lambda = options.lambda;
-  sink.relaxed = true;
-  sink.max_iterations = options.max_sinkhorn_iterations;
-  sink.tolerance = options.sinkhorn_tolerance;
-  sink.log_domain = options.log_domain;
-  sink.num_threads = options.num_threads;
-  sink.precision = options.precision;
-  sink.cancel_token = options.cancel_token;
-  sink.deadline = options.deadline;
+  q = iterative_nmf ? prob::CiProjection(q, cis[0])
+                    : prob::MultiCiProjection(q, cis);
+  const auto columns_of = [&](const prob::JointDistribution& d) {
+    linalg::Vector cols(col_cells.size());
+    for (size_t j = 0; j < col_cells.size(); ++j) cols[j] = d[col_cells[j]];
+    return cols;
+  };
 
   // One worker pool for the whole repair: every Sinkhorn iteration of
   // every outer step dispatches on it, so workers start once per repair.
@@ -524,68 +393,75 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
   linalg::ThreadPool* pool = linalg::ResolveSolvePool(
       options.thread_pool, options.num_threads, owned_pool);
 
-  const uint64_t fast_fp =
+  sink.cache_cost_fingerprint =
       options.solve_cache != nullptr && !poison_kernel
           ? FastCostFingerprint(cost, dom, row_cells, col_cells)
           : 0;
   const ot::KernelSpec spec = FastKernelSpec(options, pool);
   const SolveCacheKey cache_key = ot::KernelCacheKey(
-      fast_fp, row_cells.size(), col_cells.size(), spec);
+      sink.cache_cost_fingerprint, row_cells.size(), col_cells.size(), spec);
   MaybeInjectAllocFailure(options.fault_injector);
-  const OuterLoopKernel kernel_storage(build_view, spec, options.solve_cache,
-                                       cache_key);
-  OTCLEAN_RETURN_NOT_OK(kernel_storage.CheckSupport(p, "FastOtClean"));
+  const OuterLoopKernel kernel(build_view, spec, options.solve_cache,
+                               cache_key);
+  // Truncation must not strand source mass: every active-domain row needs
+  // a surviving kernel entry. (Columns may legitimately go empty — the
+  // relaxed target marginal simply never reaches them.)
+  OTCLEAN_RETURN_NOT_OK(
+      ot::CheckKernelSupport(kernel.build.kernel, p, /*q=*/nullptr, where));
 
   FastOtCleanResult result;
-  result.kernel_nnz = kernel_storage.nnz();
+  result.kernel_nnz = std::visit([](const auto& k) { return k.nnz(); },
+                                 kernel.build.kernel);
   if (options.solve_cache != nullptr && cache_key.valid()) {
-    result.cache_kernel_hits = kernel_storage.build.cache_hit ? 1 : 0;
-    result.cache_kernel_misses = kernel_storage.build.cache_hit ? 0 : 1;
+    result.cache_kernel_hits = kernel.build.cache_hit ? 1 : 0;
+    result.cache_kernel_misses = kernel.build.cache_hit ? 0 : 1;
   }
-  linalg::Vector warm_u, warm_v, ktu;
-  size_t warm_cold_baseline = 0;
-  result.cache_warm_started = FetchCachedWarmStart(
-      options.solve_cache, cache_key, options, p.size(), col_cells.size(),
-      kernel_storage.log_domain(), warm_u, warm_v, warm_cold_baseline);
-  OTCLEAN_RETURN_NOT_OK(MaybeAnnealFirstSolve(
-      build_view, p, q, col_cells, options, sink, fast_fp,
-      kernel_storage.log_domain(), pool, warm_u, warm_v, result));
+  // The first solve is seeded from the warm-start store or ε-annealing
+  // against the initial Q; every later one from the previous step.
+  OTCLEAN_ASSIGN_OR_RETURN(
+      ot::SolveSeed seed,
+      ot::SeedSolve(build_view, p, columns_of(q), sink, spec,
+                    /*warm_u=*/nullptr, /*warm_v=*/nullptr, where));
+  result.cache_warm_started = seed.from_store;
+  result.anneal_stages = std::move(seed.anneal_stages);
+  linalg::Vector warm_u = seed.u ? std::move(*seed.u) : linalg::Vector();
+  linalg::Vector warm_v = seed.v ? std::move(*seed.v) : linalg::Vector();
+  linalg::Vector ktu;
 
   for (size_t outer = 0; outer < options.max_outer_iterations; ++outer) {
     OTCLEAN_RETURN_NOT_OK(
-        CheckStop(options.cancel_token, options.deadline, "FastOtClean"));
+        CheckStop(options.cancel_token, options.deadline, where));
     // --- Outer step A: transport plan against the current Q (Sinkhorn). ---
-    linalg::Vector q_cols(col_cells.size());
-    for (size_t j = 0; j < col_cells.size(); ++j) q_cols[j] = q[col_cells[j]];
-
+    const linalg::Vector q_cols = columns_of(q);
     const linalg::Vector* wu =
         (options.warm_start && warm_u.size() == p.size()) ? &warm_u : nullptr;
     const linalg::Vector* wv =
         (options.warm_start && warm_v.size() == q_cols.size()) ? &warm_v
                                                                : nullptr;
-    OTCLEAN_ASSIGN_OR_RETURN(ot::SinkhornScaling sr,
-                             kernel_storage.Solve(p, q_cols, sink, wu, wv));
+    OTCLEAN_ASSIGN_OR_RETURN(
+        ot::SinkhornScaling sr,
+        ot::RunEngine(kernel.build.kernel, p, q_cols, sink, wu, wv));
     warm_u = std::move(sr.u);
     warm_v = std::move(sr.v);
     result.total_sinkhorn_iterations += sr.iterations;
-    result.objective_trace.push_back(
-        kernel_storage.TransportCost(warm_u, warm_v));
+    result.objective_trace.push_back(kernel.TransportCost(warm_u, warm_v));
 
-    // --- Outer step B: rebuild Q from the plan's target marginal via the
-    // per-slice rank-one KL factorization (Algorithm 2 lines 8–13). ---
+    // --- Outer step B: re-project the plan's target marginal onto the CI
+    // set (Algorithm 2 lines 8–13). ---
     // Column marginal of the plan without materializing it.
     linalg::Vector target_mass;
-    kernel_storage.ColumnMarginal(warm_u, warm_v, ktu, target_mass);
+    kernel.ColumnMarginal(warm_u, warm_v, ktu, target_mass);
     const double total = target_mass.Sum();
     if (total <= 0.0) {
-      return Status::Internal("FastOtClean: plan lost all mass");
+      return Status::Internal(name + ": plan lost all mass");
     }
     target_mass /= total;
     prob::JointDistribution t = ExpandToDomain(dom, col_cells, target_mass);
     prob::JointDistribution q_proj =
-        options.iterative_nmf
-            ? IterativeNmfProjection(t, ci, options.nmf_max_iterations, rng)
-            : prob::CiProjection(t, ci);
+        iterative_nmf
+            ? IterativeNmfProjection(t, cis[0], options.nmf_max_iterations,
+                                     rng)
+            : prob::MultiCiProjection(t, cis);
 
     if (options.ci_strength < 1.0) {
       // Soft enforcement: blend projection with the raw marginal (finite μ).
@@ -606,193 +482,33 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
     }
   }
 
-  result.plan =
-      kernel_storage.MaterializePlan(dom, row_cells, col_cells, warm_u,
-                                     warm_v, result.transport_cost);
+  result.plan = kernel.MaterializePlan(dom, row_cells, col_cells, warm_u,
+                                       warm_v, result.transport_cost);
   result.target = q;
-  result.target_cmi = prob::ConditionalMutualInformation(q, ci);
-  StoreCachedWarmStart(options.solve_cache, cache_key, options,
-                       kernel_storage.log_domain(), warm_u, warm_v,
-                       warm_cold_baseline, result);
+  result.target_cmi = prob::MaxCmi(q, cis);
+  result.cache_warm_iterations_saved =
+      seed.Finish(warm_u, warm_v, result.total_sinkhorn_iterations,
+                  result.converged);
   return result;
+}
+
+}  // namespace
+
+Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
+                                      const prob::CiSpec& ci,
+                                      const ot::CostFunction& cost,
+                                      const FastOtCleanOptions& options,
+                                      Rng& rng) {
+  return RunOuterLoop(p_data, {ci}, cost, options, rng, options.iterative_nmf,
+                      "FastOtClean");
 }
 
 Result<FastOtCleanResult> FastOtCleanMulti(
     const prob::JointDistribution& p_data,
     const std::vector<prob::CiSpec>& cis, const ot::CostFunction& cost,
     const FastOtCleanOptions& options, Rng& rng) {
-  const prob::Domain& dom = p_data.domain();
-  if (dom.TotalSize() == 0) {
-    return Status::InvalidArgument("FastOtCleanMulti: empty domain");
-  }
-  if (cis.empty()) {
-    return Status::InvalidArgument("FastOtCleanMulti: no constraints");
-  }
-  if (std::fabs(p_data.Mass() - 1.0) > 1e-6) {
-    return Status::InvalidArgument(
-        "FastOtCleanMulti: p_data must be normalized");
-  }
-  if (options.ci_strength < 0.0 || options.ci_strength > 1.0) {
-    return Status::InvalidArgument(
-        "FastOtCleanMulti: ci_strength must be in [0,1]");
-  }
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument(
-        "FastOtCleanMulti: epsilon must be positive");
-  }
-  if (options.max_outer_iterations == 0) {
-    return Status::InvalidArgument(
-        "FastOtCleanMulti: max_outer_iterations must be > 0");
-  }
-
-  std::vector<size_t> row_cells;
-  for (size_t i = 0; i < p_data.size(); ++i) {
-    if (p_data[i] > 0.0) row_cells.push_back(i);
-  }
-  if (row_cells.empty()) {
-    return Status::InvalidArgument("FastOtCleanMulti: p_data carries no mass");
-  }
-  std::vector<size_t> col_cells;
-  if (options.restrict_columns_to_active) {
-    col_cells = row_cells;
-  } else {
-    col_cells.resize(dom.TotalSize());
-    for (size_t i = 0; i < col_cells.size(); ++i) col_cells[i] = i;
-  }
-
-  linalg::Vector p(row_cells.size());
-  for (size_t i = 0; i < row_cells.size(); ++i) p[i] = p_data[row_cells[i]];
-
-  const ot::FunctionCostProvider cost_view(dom, row_cells, col_cells, cost);
-  // Same finite-cost guard as the single-constraint path above.
-  OTCLEAN_RETURN_NOT_OK(
-      ot::ValidateFiniteCosts("FastOtCleanMulti", cost_view));
-  OTCLEAN_RETURN_NOT_OK(
-      CheckStop(options.cancel_token, options.deadline, "FastOtCleanMulti"));
-
-  // kKernelNan fires here — past validation, so the NaN reaches the kernel
-  // build exactly like a runtime numeric blow-up would. A poisoned solve
-  // bypasses the cache entirely (fast_fp stays 0 below): a poisoned kernel
-  // must never be published under the clean cost's key.
-  const bool poison_kernel =
-      options.fault_injector != nullptr &&
-      options.fault_injector->ShouldFire(FaultSite::kKernelNan);
-  const NanPoisonedCostView poisoned_view(cost_view);
-  const linalg::CostProvider& build_view =
-      poison_kernel ? static_cast<const linalg::CostProvider&>(poisoned_view)
-                    : static_cast<const linalg::CostProvider&>(cost_view);
-
-  prob::JointDistribution q(dom);
-  if (options.nmf_init) {
-    q = prob::MultiCiProjection(p_data, cis);
-  } else {
-    for (size_t i = 0; i < q.size(); ++i) q[i] = rng.NextDouble();
-    q.Normalize();
-    q = prob::MultiCiProjection(q, cis);
-  }
-
-  ot::SinkhornOptions sink;
-  sink.epsilon = options.epsilon;
-  sink.lambda = options.lambda;
-  sink.relaxed = true;
-  sink.max_iterations = options.max_sinkhorn_iterations;
-  sink.tolerance = options.sinkhorn_tolerance;
-  sink.log_domain = options.log_domain;
-  sink.num_threads = options.num_threads;
-  sink.precision = options.precision;
-  sink.cancel_token = options.cancel_token;
-  sink.deadline = options.deadline;
-
-  // One worker pool for the whole repair: every Sinkhorn iteration of
-  // every outer step dispatches on it, so workers start once per repair.
-  std::optional<linalg::ThreadPool> owned_pool;
-  linalg::ThreadPool* pool = linalg::ResolveSolvePool(
-      options.thread_pool, options.num_threads, owned_pool);
-
-  const uint64_t fast_fp =
-      options.solve_cache != nullptr && !poison_kernel
-          ? FastCostFingerprint(cost, dom, row_cells, col_cells)
-          : 0;
-  const ot::KernelSpec spec = FastKernelSpec(options, pool);
-  const SolveCacheKey cache_key = ot::KernelCacheKey(
-      fast_fp, row_cells.size(), col_cells.size(), spec);
-  MaybeInjectAllocFailure(options.fault_injector);
-  const OuterLoopKernel kernel_storage(build_view, spec, options.solve_cache,
-                                       cache_key);
-  OTCLEAN_RETURN_NOT_OK(kernel_storage.CheckSupport(p, "FastOtCleanMulti"));
-
-  FastOtCleanResult result;
-  result.kernel_nnz = kernel_storage.nnz();
-  if (options.solve_cache != nullptr && cache_key.valid()) {
-    result.cache_kernel_hits = kernel_storage.build.cache_hit ? 1 : 0;
-    result.cache_kernel_misses = kernel_storage.build.cache_hit ? 0 : 1;
-  }
-  linalg::Vector warm_u, warm_v, ktu;
-  size_t warm_cold_baseline = 0;
-  result.cache_warm_started = FetchCachedWarmStart(
-      options.solve_cache, cache_key, options, p.size(), col_cells.size(),
-      kernel_storage.log_domain(), warm_u, warm_v, warm_cold_baseline);
-  OTCLEAN_RETURN_NOT_OK(MaybeAnnealFirstSolve(
-      build_view, p, q, col_cells, options, sink, fast_fp,
-      kernel_storage.log_domain(), pool, warm_u, warm_v, result));
-
-  for (size_t outer = 0; outer < options.max_outer_iterations; ++outer) {
-    OTCLEAN_RETURN_NOT_OK(CheckStop(options.cancel_token, options.deadline,
-                                    "FastOtCleanMulti"));
-    linalg::Vector q_cols(col_cells.size());
-    for (size_t j = 0; j < col_cells.size(); ++j) q_cols[j] = q[col_cells[j]];
-
-    const linalg::Vector* wu =
-        (options.warm_start && warm_u.size() == p.size()) ? &warm_u : nullptr;
-    const linalg::Vector* wv =
-        (options.warm_start && warm_v.size() == q_cols.size()) ? &warm_v
-                                                               : nullptr;
-    OTCLEAN_ASSIGN_OR_RETURN(ot::SinkhornScaling sr,
-                             kernel_storage.Solve(p, q_cols, sink, wu, wv));
-    warm_u = std::move(sr.u);
-    warm_v = std::move(sr.v);
-    result.total_sinkhorn_iterations += sr.iterations;
-    result.objective_trace.push_back(
-        kernel_storage.TransportCost(warm_u, warm_v));
-
-    // Column marginal of the plan without materializing it.
-    linalg::Vector target_mass;
-    kernel_storage.ColumnMarginal(warm_u, warm_v, ktu, target_mass);
-
-    const double total = target_mass.Sum();
-    if (total <= 0.0) {
-      return Status::Internal("FastOtCleanMulti: plan lost all mass");
-    }
-    target_mass /= total;
-    prob::JointDistribution t = ExpandToDomain(dom, col_cells, target_mass);
-    prob::JointDistribution q_proj = prob::MultiCiProjection(t, cis);
-
-    if (options.ci_strength < 1.0) {
-      for (size_t i = 0; i < q_proj.size(); ++i) {
-        q_proj[i] = options.ci_strength * q_proj[i] +
-                    (1.0 - options.ci_strength) * t[i];
-      }
-      q_proj.Normalize();
-    }
-
-    const double delta = q.TotalVariation(q_proj);
-    q = std::move(q_proj);
-    result.outer_iterations = outer + 1;
-    if (delta <= options.outer_tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.plan =
-      kernel_storage.MaterializePlan(dom, row_cells, col_cells, warm_u,
-                                     warm_v, result.transport_cost);
-  result.target = q;
-  result.target_cmi = prob::MaxCmi(q, cis);
-  StoreCachedWarmStart(options.solve_cache, cache_key, options,
-                       kernel_storage.log_domain(), warm_u, warm_v,
-                       warm_cold_baseline, result);
-  return result;
+  return RunOuterLoop(p_data, cis, cost, options, rng, /*iterative_nmf=*/false,
+                      "FastOtCleanMulti");
 }
 
 }  // namespace otclean::core

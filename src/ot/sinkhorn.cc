@@ -19,26 +19,6 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// Guards the scaling vectors against overflow and junk. Kernels with a
-/// large dynamic range (e.g. costs that effectively forbid some moves) can
-/// push u or v past the double range over many iterations; an infinite
-/// scaling entry then zeroes the opposite vector and silently drains the
-/// plan — +inf (and any overflow past 1e150) clamps to 1e150 to keep
-/// u·K·v finite. A NaN (a 0/0 — no mass demanded, none reachable) or a
-/// negative entry means "no mass" and collapses to 0: mapping it to the
-/// clamp CEILING, as this function once did, inflated u·K·v and
-/// transport_cost with mass that never existed.
-void ClampScaling(linalg::Vector& s) {
-  constexpr double kMax = 1e150;
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (std::isnan(s[i]) || s[i] < 0.0) {
-      s[i] = 0.0;
-    } else if (s[i] > kMax) {
-      s[i] = kMax;
-    }
-  }
-}
-
 /// Relaxed update exponent λ/(λ+ε) (Frogner et al., Prop 4.2; the paper's
 /// Eq. 5 exponent ρλ/(ρλ+1) with ρ = 1/ε). 1 in classic (hard-marginal)
 /// mode.
@@ -104,12 +84,6 @@ double LogPotentialDelta(const linalg::Vector& a, const linalg::Vector& b) {
   return d;
 }
 
-/// ln with log(0) := −inf (the log-domain "no mass" marker; note this is
-/// NOT Vector::CwiseLogSafe, whose 0 ↦ 0 convention serves entropy sums).
-double LogOrNegInf(double x) {
-  return x > 0.0 ? std::log(x) : kNegInf;
-}
-
 Status ValidateMarginals(const char* where, const linalg::Vector& p,
                          const linalg::Vector& q) {
   for (size_t i = 0; i < p.size(); ++i) {
@@ -151,49 +125,6 @@ Status ValidateWarmStart(const char* where, const linalg::Vector* warm_u,
   return Status::OK();
 }
 
-/// Generous upper bound on annealing stages — a schedule whose geometric
-/// decay needs more than this many stages to reach the final ε (decay
-/// pathologically close to 1, or an absurd initial/final ratio) is a
-/// configuration error, not a workload.
-constexpr size_t kMaxAnnealStages = 64;
-
-Status ValidateSchedule(const char* where, const SinkhornOptions& options) {
-  const EpsilonSchedule& s = options.epsilon_schedule;
-  if (!s.enabled()) return Status::OK();
-  if (!(s.initial_epsilon > options.epsilon)) {
-    return Status::InvalidArgument(
-        std::string(where) + ": epsilon_schedule.initial_epsilon (" +
-        std::to_string(s.initial_epsilon) +
-        ") must exceed the final epsilon (" + std::to_string(options.epsilon) +
-        ") — annealing runs from easy (large ε) to sharp (small ε)");
-  }
-  if (!(s.decay > 0.0 && s.decay < 1.0)) {
-    return Status::InvalidArgument(
-        std::string(where) + ": epsilon_schedule.decay = " +
-        std::to_string(s.decay) + " must lie in (0, 1)");
-  }
-  if (!(s.stage_tolerance > 0.0)) {
-    return Status::InvalidArgument(
-        std::string(where) + ": epsilon_schedule.stage_tolerance must be > 0");
-  }
-  if (s.stage_max_iterations == 0) {
-    return Status::InvalidArgument(
-        std::string(where) +
-        ": epsilon_schedule.stage_max_iterations must be positive");
-  }
-  size_t stages = 0;
-  for (double e = s.initial_epsilon; e > options.epsilon;
-       e = std::max(options.epsilon, e * s.decay)) {
-    if (++stages > kMaxAnnealStages) {
-      return Status::InvalidArgument(
-          std::string(where) + ": epsilon_schedule would run more than " +
-          std::to_string(kMaxAnnealStages) +
-          " stages — use a smaller decay or initial_epsilon");
-    }
-  }
-  return Status::OK();
-}
-
 Status ValidateInputs(const char* where, const linalg::CostProvider& cost,
                       const linalg::Vector& p, const linalg::Vector& q,
                       const SinkhornOptions& options) {
@@ -201,21 +132,11 @@ Status ValidateInputs(const char* where, const linalg::CostProvider& cost,
     return Status::InvalidArgument(std::string(where) +
                                    ": marginal dimension mismatch");
   }
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument(std::string(where) +
-                                   ": epsilon must be positive");
-  }
-  // max_iterations == 0 silently returned the cold-start potentials as a
-  // "converged: false" result — an all-ones plan scaling that looks like a
-  // solve. tolerance <= 0 (or NaN) can never be met, so every run burned
-  // the full iteration budget and reported failure. Both are caller bugs;
-  // reject them loudly.
-  if (options.max_iterations == 0) {
-    return Status::InvalidArgument(
-        std::string(where) +
-        ": max_iterations must be positive (a 0-iteration run would return "
-        "the unsolved cold-start scalings)");
-  }
+  OTCLEAN_RETURN_NOT_OK(ValidateSinkhornOptions(where, options));
+  // tolerance <= 0 (or NaN) can never be met, so every run would burn the
+  // full iteration budget and report failure — a caller bug here. (The
+  // prebuilt-kernel entry points accept it: an outer loop may want a
+  // fixed-count solve.)
   if (!(options.tolerance > 0.0)) {
     return Status::InvalidArgument(
         std::string(where) + ": tolerance = " +
@@ -228,6 +149,28 @@ Status ValidateInputs(const char* where, const linalg::CostProvider& cost,
 }
 
 }  // namespace
+
+Status ValidateSinkhornOptions(const char* where,
+                               const SinkhornOptions& options) {
+  if (!(std::isfinite(options.epsilon) && options.epsilon > 0.0)) {
+    return Status::InvalidArgument(
+        std::string(where) + ": epsilon = " + std::to_string(options.epsilon) +
+        " must be a positive finite number");
+  }
+  if (options.relaxed &&
+      !(std::isfinite(options.lambda) && options.lambda > 0.0)) {
+    return Status::InvalidArgument(
+        std::string(where) + ": lambda = " + std::to_string(options.lambda) +
+        " must be a positive finite number");
+  }
+  if (options.max_iterations == 0) {
+    return Status::InvalidArgument(
+        std::string(where) +
+        ": max_iterations must be positive (a 0-iteration run would return "
+        "the unsolved cold-start scalings)");
+  }
+  return Status::OK();
+}
 
 // A NaN or ±inf cost entry propagates through the kernel into a NaN (or
 // silently empty) plan; reject it up front, naming the offending entry.
@@ -269,96 +212,6 @@ Status ValidateFiniteCosts(const char* where,
 
 namespace {
 
-/// Per-solve view of the cross-request warm-start store, under the same
-/// key the solve's kernel is cached under (KernelCacheKey); no-ops
-/// throughout when the cache is absent or the fingerprint is 0.
-struct CacheSession {
-  core::SolveCache* cache = nullptr;
-  core::SolveCacheKey key;
-  std::optional<core::CachedWarmStart> stored;
-  bool warm_used = false;
-  bool use_warm_store = false;
-
-  CacheSession(const SinkhornOptions& options, const core::SolveCacheKey& k)
-      : key(k) {
-    if (options.solve_cache == nullptr || !key.valid()) return;
-    cache = options.solve_cache;
-    use_warm_store = options.cache_warm_start;
-  }
-
-  bool active() const { return cache != nullptr; }
-
-  /// Redirects null warm pointers at the stored potentials (caller's
-  /// explicit warm vectors always win; stored sizes must match exactly —
-  /// else cold-start fallback).
-  void MaybeWarm(const linalg::Vector*& warm_u,
-                 const linalg::Vector*& warm_v) {
-    if (!active() || !use_warm_store) return;
-    if (warm_u != nullptr || warm_v != nullptr) return;
-    stored = cache->FindWarmStart(key);
-    if (!stored) return;
-    if (stored->u.size() != key.rows || stored->v.size() != key.cols) {
-      stored.reset();
-      return;
-    }
-    warm_u = &stored->u;
-    warm_v = &stored->v;
-    warm_used = true;
-  }
-
-  /// Persists converged potentials and credits iteration savings against
-  /// the key's cold baseline. Diverged runs store nothing — their
-  /// potentials would poison later warm starts.
-  void Finish(const linalg::Vector& u, const linalg::Vector& v,
-              size_t iterations, bool converged) {
-    if (!active() || !use_warm_store || !converged) return;
-    cache->StoreWarmStart(key, u, v, iterations);
-    if (warm_used && stored->cold_iterations > iterations) {
-      cache->RecordWarmSavings(stored->cold_iterations - iterations);
-    }
-  }
-};
-
-/// Lifts linear-domain warm-start scalings into log-potentials when
-/// present (the public RunSinkhorn/RunSinkhornSparse APIs speak linear u/v
-/// even in log-domain mode, so warm starts round-trip between domains).
-void WarmLogPotentials(const linalg::Vector* warm, size_t size,
-                       std::optional<linalg::Vector>& out) {
-  if (warm == nullptr) return;
-  out.emplace(size);
-  for (size_t i = 0; i < size; ++i) (*out)[i] = LogOrNegInf((*warm)[i]);
-}
-
-/// Linear-domain scalings from converged log-potentials.
-linalg::Vector ExpPotentials(const linalg::Vector& lp) {
-  linalg::Vector out(lp.size());
-  for (size_t i = 0; i < lp.size(); ++i) {
-    out[i] = lp[i] == kNegInf ? 0.0 : std::exp(lp[i]);
-  }
-  ClampScaling(out);
-  return out;
-}
-
-/// Potential carry-over between annealing stages: u ≈ e^{f/ε} for a dual
-/// potential f that varies slowly with ε, so the stage-(k+1) start is
-/// u^{ε_k/ε_{k+1}}. Zeros ("no mass") stay zero; the exponent exceeds 1
-/// (ε shrinks), so clamp the blow-up exactly as the engine loop would.
-void RescalePotentials(linalg::Vector& s, double ratio) {
-  for (size_t i = 0; i < s.size(); ++i) {
-    s[i] = s[i] > 0.0 ? std::pow(s[i], ratio) : 0.0;
-  }
-  ClampScaling(s);
-}
-
-/// Annealing applies only when nobody supplied a better start: explicit
-/// warm vectors and warm-store hits are already warm. Call after
-/// CacheSession::MaybeWarm so store hits have claimed the pointers.
-bool ShouldAnneal(const SinkhornOptions& options, const linalg::Vector* warm_u,
-                  const linalg::Vector* warm_v) {
-  return options.epsilon_schedule.enabled() && warm_u == nullptr &&
-         warm_v == nullptr;
-}
-
 /// The kernel an option set iterates on, at the given storage.
 KernelSpec SpecFor(const SinkhornOptions& options, bool sparse, double cutoff,
                    linalg::ThreadPool* pool) {
@@ -371,49 +224,6 @@ KernelSpec SpecFor(const SinkhornOptions& options, bool sparse, double cutoff,
   spec.num_threads = options.num_threads;
   spec.pool = pool;
   return spec;
-}
-
-/// The cache key of the kernel `spec` names for this solve's cost.
-core::SolveCacheKey SolveKey(const linalg::CostProvider& cost,
-                             const SinkhornOptions& options,
-                             const KernelSpec& spec) {
-  return KernelCacheKey(options.cache_cost_fingerprint, cost.rows(),
-                        cost.cols(), spec);
-}
-
-/// The engine loop matching the kernel's domain, started from
-/// linear-domain warm scalings (lifted to log-potentials for a log
-/// kernel). Returns the potentials in the kernel's own domain — what its
-/// plan and cost primitives take; ToLinearScalings converts them.
-template <typename K>
-Result<SinkhornScaling> RunEngine(const K& kernel, const linalg::Vector& p,
-                                  const linalg::Vector& q,
-                                  const SinkhornOptions& options,
-                                  const linalg::Vector* warm_u,
-                                  const linalg::Vector* warm_v) {
-  if constexpr (kIsLogKernel<K>) {
-    std::optional<linalg::Vector> warm_lu, warm_lv;
-    WarmLogPotentials(warm_u, kernel.rows(), warm_lu);
-    WarmLogPotentials(warm_v, kernel.cols(), warm_lv);
-    OTCLEAN_ASSIGN_OR_RETURN(
-        SinkhornLogScaling s,
-        RunSinkhornLogScaling(kernel, p, q, options,
-                              warm_lu ? &*warm_lu : nullptr,
-                              warm_lv ? &*warm_lv : nullptr));
-    return SinkhornScaling{std::move(s.lu), std::move(s.lv), s.iterations,
-                           s.converged};
-  } else {
-    return RunSinkhornScaling(kernel, p, q, options, warm_u, warm_v);
-  }
-}
-
-/// The potentials RunEngine returned, as linear-domain scalings.
-template <typename K>
-void ToLinearScalings(SinkhornScaling& s) {
-  if constexpr (kIsLogKernel<K>) {
-    s.u = ExpPotentials(s.u);
-    s.v = ExpPotentials(s.v);
-  }
 }
 
 /// π at the converged potentials, in the result's plan storage (a dense
@@ -433,50 +243,10 @@ void MaterializePlan(const K& kernel, const SinkhornScaling& s,
   }
 }
 
-/// One annealing stage: build (or fetch from the solve cache) the kernel
-/// at the stage ε and run the engine loop at the schedule's loose
-/// tolerance, updating the linear-domain potentials in place. The stage
-/// honors log_domain and precision exactly as the final solve will, so
-/// its warm start is shaped by the same arithmetic; no plan or transport
-/// cost is ever materialized — stages exist only to move potentials.
-Result<EpsilonAnnealStage> RunAnnealStage(
-    const linalg::CostProvider& cost, const linalg::Vector& p,
-    const linalg::Vector& q, const SinkhornOptions& stage_options,
-    bool sparse, double cutoff, linalg::Vector& u, linalg::Vector& v,
-    linalg::ThreadPool* pool) {
-  // Dense linear kernels build from an in-memory cost; a function-backed
-  // provider on the dense path falls back to a cutoff-0 sparse kernel
-  // (same support, streamed build) so the stage never materializes the
-  // cost matrix.
-  const bool csr = sparse || (!stage_options.log_domain &&
-                              cost.AsMatrix() == nullptr);
-  const KernelSpec spec =
-      SpecFor(stage_options, csr, sparse ? cutoff : 0.0, pool);
-  const KernelBuild build = MakeKernel(cost, spec, stage_options.solve_cache,
-                                       SolveKey(cost, stage_options, spec));
-  // No per-stage support check: a stage ε exceeds the final ε, so its
-  // truncated kept-set is a superset of the final kernel's — the final
-  // solve's check governs. An emptied stage row merely yields a zero
-  // potential there, which the final solve overwrites or rejects.
-  return std::visit(
-      [&](const auto& kernel) -> Result<EpsilonAnnealStage> {
-        using K = std::decay_t<decltype(kernel)>;
-        OTCLEAN_ASSIGN_OR_RETURN(
-            SinkhornScaling s,
-            RunEngine(kernel, p, q, stage_options, &u, &v));
-        ToLinearScalings<K>(s);
-        u = std::move(s.u);
-        v = std::move(s.v);
-        return EpsilonAnnealStage{stage_options.epsilon, s.iterations,
-                                  s.converged};
-      },
-      build.kernel);
-}
-
 /// The shared body of RunSinkhorn and RunSinkhornSparse once inputs are
-/// validated: warm store, ε-annealing, the (cache-aware) kernel, the
-/// engine loop, then π and ⟨C, π⟩ at the converged potentials. `Out`
-/// picks the plan storage — a dense plan for SinkhornResult, CSR for
+/// validated: the seed (warm store, ε-annealing), the (cache-aware)
+/// kernel, the engine loop, then π and ⟨C, π⟩ at the converged potentials.
+/// `Out` picks the plan storage — a dense plan for SinkhornResult, CSR for
 /// SparseSinkhornResult.
 template <typename Out>
 Result<Out> SolveOnKernel(const linalg::CostProvider& cost,
@@ -484,48 +254,35 @@ Result<Out> SolveOnKernel(const linalg::CostProvider& cost,
                           const SinkhornOptions& options,
                           const KernelSpec& spec, const linalg::Vector* warm_u,
                           const linalg::Vector* warm_v, const char* where) {
-  CacheSession session(options, SolveKey(cost, options, spec));
-  session.MaybeWarm(warm_u, warm_v);
-  EpsilonAnnealWarmStart anneal;
-  if (ShouldAnneal(options, warm_u, warm_v)) {
-    OTCLEAN_ASSIGN_OR_RETURN(
-        anneal, RunSinkhornAnnealed(cost, p, q, options, spec.sparse,
-                                    spec.cutoff, spec.pool));
-    warm_u = &anneal.u;
-    warm_v = &anneal.v;
-  }
+  OTCLEAN_ASSIGN_OR_RETURN(
+      SolveSeed seed,
+      SeedSolve(cost, p, q, options, spec, warm_u, warm_v, where));
   const KernelBuild build =
-      MakeKernel(cost, spec, options.solve_cache, session.key);
+      MakeKernel(cost, spec, options.solve_cache, seed.key);
   // Hard-marginal mode must reach every row and column carrying mass.
   // Relaxed mode only soft-matches the target marginal, so an unreachable
   // column legitimately ends up under-served — check rows only (stranded
   // *source* mass silently degrades repairs to the identity either way).
-  const linalg::Vector* q_check = options.relaxed ? nullptr : &q;
-  return std::visit(
-      [&](const auto& kernel) -> Result<Out> {
-        using K = std::decay_t<decltype(kernel)>;
-        if constexpr (kIsSparseKernel<K>) {
-          // Support depends on p/q, not just the kernel — re-check on hits.
-          OTCLEAN_RETURN_NOT_OK(CheckTruncatedKernelSupport(
-              *kernel.shared_storage(), &p, q_check, where));
-        }
-        OTCLEAN_ASSIGN_OR_RETURN(
-            SinkhornScaling s,
-            RunEngine(kernel, p, q, options, warm_u, warm_v));
-        Out result;
+  // Support depends on p/q, not just the kernel — re-checked on hits.
+  OTCLEAN_RETURN_NOT_OK(CheckKernelSupport(
+      build.kernel, p, options.relaxed ? nullptr : &q, where));
+  OTCLEAN_ASSIGN_OR_RETURN(
+      SinkhornScaling s,
+      RunEngine(build.kernel, p, q, options, seed.warm_u(), seed.warm_v()));
+  Out result;
+  std::visit(
+      [&](const auto& kernel) {
         MaterializePlan(kernel, s, result.plan);
         result.transport_cost = kernel.TransportCost(cost, s.u, s.v);
-        ToLinearScalings<K>(s);
-        result.u = std::move(s.u);
-        result.v = std::move(s.v);
-        result.iterations = s.iterations;
-        result.converged = s.converged;
-        result.anneal_stages = std::move(anneal.stages);
-        session.Finish(result.u, result.v, result.iterations,
-                       result.converged);
-        return result;
       },
       build.kernel);
+  seed.Finish(s.u, s.v, s.iterations, s.converged);
+  result.u = spec.log_domain ? ExpPotentials(s.u) : std::move(s.u);
+  result.v = spec.log_domain ? ExpPotentials(s.v) : std::move(s.v);
+  result.iterations = s.iterations;
+  result.converged = s.converged;
+  result.anneal_stages = std::move(seed.anneal_stages);
+  return result;
 }
 
 }  // namespace
@@ -540,9 +297,8 @@ Result<SinkhornScaling> RunSinkhornScaling(
     return Status::InvalidArgument(
         "RunSinkhornScaling: marginal dimension mismatch");
   }
-  if (Status s = ValidateMarginals("RunSinkhornScaling", p, q); !s.ok()) {
-    return s;
-  }
+  OTCLEAN_RETURN_NOT_OK(ValidateSinkhornOptions("RunSinkhornScaling", options));
+  OTCLEAN_RETURN_NOT_OK(ValidateMarginals("RunSinkhornScaling", p, q));
   if (Status s = ValidateWarmStart("RunSinkhornScaling", warm_u, m, warm_v, n);
       !s.ok()) {
     return s;
@@ -608,17 +364,15 @@ Result<SinkhornLogScaling> RunSinkhornLogScaling(
     return Status::InvalidArgument(
         "RunSinkhornLogScaling: marginal dimension mismatch");
   }
-  if (Status s = ValidateMarginals("RunSinkhornLogScaling", p, q); !s.ok()) {
-    return s;
-  }
+  OTCLEAN_RETURN_NOT_OK(ValidateSinkhornOptions("RunSinkhornLogScaling", options));
+  OTCLEAN_RETURN_NOT_OK(ValidateMarginals("RunSinkhornLogScaling", p, q));
   if (Status s = ValidateWarmStart("RunSinkhornLogScaling", warm_lu, m,
                                    warm_lv, n);
       !s.ok()) {
     return s;
   }
-  linalg::Vector log_p(m), log_q(n);
-  for (size_t i = 0; i < m; ++i) log_p[i] = LogOrNegInf(p[i]);
-  for (size_t j = 0; j < n; ++j) log_q[j] = LogOrNegInf(q[j]);
+  const linalg::Vector log_p = LogPotentials(p);
+  const linalg::Vector log_q = LogPotentials(q);
 
   SinkhornLogScaling out;
   out.lu = warm_lu != nullptr ? *warm_lu : linalg::Vector(m, 0.0);
@@ -706,67 +460,6 @@ Status CheckTruncatedKernelSupport(const linalg::SparsePattern& kernel,
     }
   }
   return Status::OK();
-}
-
-Result<EpsilonAnnealWarmStart> RunSinkhornAnnealed(
-    const linalg::CostProvider& cost, const linalg::Vector& p,
-    const linalg::Vector& q, const SinkhornOptions& options, bool sparse,
-    double cutoff, linalg::ThreadPool* pool) {
-  const EpsilonSchedule& sched = options.epsilon_schedule;
-  if (!sched.enabled()) {
-    return Status::InvalidArgument(
-        "RunSinkhornAnnealed: epsilon_schedule is disabled "
-        "(initial_epsilon == 0) — there are no stages to run");
-  }
-  if (Status s = ValidateSchedule("RunSinkhornAnnealed", options); !s.ok()) {
-    return s;
-  }
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument(
-        "RunSinkhornAnnealed: epsilon must be positive");
-  }
-  if (p.size() != cost.rows() || q.size() != cost.cols()) {
-    return Status::InvalidArgument(
-        "RunSinkhornAnnealed: marginal dimension mismatch");
-  }
-  if (Status s = ValidateMarginals("RunSinkhornAnnealed", p, q); !s.ok()) {
-    return s;
-  }
-  std::optional<linalg::ThreadPool> owned_pool;
-  if (pool == nullptr) {
-    pool = linalg::ResolveSolvePool(options.thread_pool, options.num_threads,
-                                    owned_pool);
-  }
-
-  EpsilonAnnealWarmStart out;
-  out.u = linalg::Vector::Ones(cost.rows());
-  out.v = linalg::Vector::Ones(cost.cols());
-  double eps = sched.initial_epsilon;
-  while (eps > options.epsilon) {
-    // Per-stage stop check; the stage options copy below also carries the
-    // token/deadline into the stage's own engine loop.
-    OTCLEAN_RETURN_NOT_OK(CheckStop(options.cancel_token, options.deadline,
-                                    "RunSinkhornAnnealed"));
-    SinkhornOptions stage_options = options;
-    stage_options.epsilon = eps;
-    stage_options.tolerance = sched.stage_tolerance;
-    stage_options.max_iterations = sched.stage_max_iterations;
-    // Stage kernels get their own cache entries (the key carries the
-    // stage ε), but the warm-start tier stays final-ε only: stage
-    // potentials are deliberately half-baked.
-    stage_options.cache_warm_start = false;
-    stage_options.epsilon_schedule = EpsilonSchedule{};
-    OTCLEAN_ASSIGN_OR_RETURN(
-        EpsilonAnnealStage stage,
-        RunAnnealStage(cost, p, q, stage_options, sparse, cutoff, out.u,
-                       out.v, pool));
-    out.stages.push_back(stage);
-    const double next = std::max(options.epsilon, eps * sched.decay);
-    RescalePotentials(out.u, eps / next);
-    RescalePotentials(out.v, eps / next);
-    eps = next;
-  }
-  return out;
 }
 
 double PlanEntropy(const linalg::Matrix& plan) {

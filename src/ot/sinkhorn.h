@@ -129,9 +129,9 @@ struct SinkhornOptions {
   bool cache_warm_start = false;
   /// ε-annealing schedule (see EpsilonSchedule). Honored by RunSinkhorn /
   /// RunSinkhornSparse when no explicit warm_u/warm_v are passed and the
-  /// warm store has nothing better: the non-final stages run first (via
-  /// RunSinkhornAnnealed) and seed the final solve. Explicit warm starts
-  /// and warm-store hits win — they are already warm.
+  /// warm store has nothing better: the non-final stages run first and
+  /// seed the final solve (ot::SeedSolve, ot/kernel_factory.h). Explicit
+  /// warm starts and warm-store hits win — they are already warm.
   EpsilonSchedule epsilon_schedule;
   /// Storage precision of the Gibbs kernel the solve iterates on.
   /// kFloat32 halves kernel memory traffic — the cost-per-iteration
@@ -184,8 +184,9 @@ struct SinkhornScaling {
 /// when null they start at all-ones. Both RunSinkhorn and
 /// RunSinkhornSparse delegate here — call it directly when you build the
 /// kernel once and reuse it across solves (e.g. warm-started outer
-/// loops). Errors on marginal / kernel dimension mismatch and on
-/// negative or non-finite marginal entries.
+/// loops). Errors on marginal / kernel dimension mismatch, on negative or
+/// non-finite marginal entries, and on options ValidateSinkhornOptions
+/// rejects.
 Result<SinkhornScaling> RunSinkhornScaling(
     const linalg::TransportKernel& kernel, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options,
@@ -287,6 +288,14 @@ Result<SparseSinkhornResult> RunSinkhornSparse(
     double kernel_cutoff, const linalg::Vector* warm_u = nullptr,
     const linalg::Vector* warm_v = nullptr);
 
+/// Rejects (InvalidArgument) options no solve can run on: a non-finite or
+/// non-positive ε, a non-finite or non-positive λ in relaxed mode, and
+/// max_iterations == 0 (a 0-iteration run would return the unsolved
+/// cold-start scalings). Every Sinkhorn entry point applies it, and
+/// FastOTClean applies it to the inner-solve options it derives.
+Status ValidateSinkhornOptions(const char* where,
+                               const SinkhornOptions& options);
+
 /// Rejects NaN/±inf cost entries with a row/col-indexed InvalidArgument
 /// (finite-cost validation of RunSinkhorn/RunSinkhornSparse, exposed for
 /// callers like FastOTClean that build kernels from a CostProvider
@@ -306,39 +315,6 @@ Status CheckTruncatedKernelSupport(const linalg::SparsePattern& kernel,
                                    const linalg::Vector* p,
                                    const linalg::Vector* q,
                                    const char* where);
-
-/// Warm potentials produced by the non-final stages of an ε-annealing
-/// schedule, plus the per-stage convergence records. `u`/`v` are
-/// linear-domain scalings sized to the problem — pass them as warm_u /
-/// warm_v of the final solve (the log-domain paths lift them).
-struct EpsilonAnnealWarmStart {
-  linalg::Vector u;
-  linalg::Vector v;
-  std::vector<EpsilonAnnealStage> stages;
-};
-
-/// Runs the NON-final stages of `options.epsilon_schedule`: for each
-/// stage ε_k (ε_0 = initial_epsilon, ε_{k+1} = max(ε, ε_k·decay), down to
-/// but excluding the final ε) it builds the stage kernel — honoring
-/// `options.log_domain`, `options.precision`, the truncation `cutoff`
-/// when `sparse`, and the solve cache (stage kernels get their own
-/// per-(fingerprint, ε_k) entries; the warm-start tier is never touched
-/// at stage ε) — runs the engine loop at the schedule's loose
-/// stage_tolerance / stage_max_iterations, and rescales the potentials
-/// u ↦ u^{ε_k/ε_{k+1}} into the next stage. RunSinkhorn /
-/// RunSinkhornSparse call this automatically; call it directly when you
-/// drive RunSinkhorn(Log)Scaling yourself on a prebuilt final-ε kernel
-/// (e.g. a warm-started outer loop) and want an annealed first solve.
-///
-/// Errors as the entry points do (schedule fields are validated loudly);
-/// stage kernels on the sparse path keep a SUPERSET of the final
-/// kernel's entries (larger ε keeps more), so stage support never fails
-/// where the final solve would succeed.
-Result<EpsilonAnnealWarmStart> RunSinkhornAnnealed(
-    const linalg::CostProvider& cost, const linalg::Vector& p,
-    const linalg::Vector& q, const SinkhornOptions& options,
-    bool sparse = false, double cutoff = 0.0,
-    linalg::ThreadPool* pool = nullptr);
 
 }  // namespace otclean::ot
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "core/fast_otclean.h"
 #include "ot/cost.h"
@@ -227,6 +229,72 @@ TEST(FastOtCleanTest, RejectsBadInputs) {
   FastOtCleanOptions bad = DefaultOptions();
   bad.ci_strength = 2.0;
   EXPECT_FALSE(FastOtClean(u, ci, cost, bad, rng).ok());
+  // No Sinkhorn budget: this used to return ok and "converged" with the
+  // unscaled Gibbs kernel as its plan.
+  bad = DefaultOptions();
+  bad.max_sinkhorn_iterations = 0;
+  EXPECT_EQ(FastOtClean(u, ci, cost, bad, rng).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(FastOtCleanTest, RejectsNonFiniteOrNonPositiveEpsilonAndLambda) {
+  // Regression: λ = −1 returned ok with cost ~1e-21 (nothing repaired),
+  // λ = −0.1 returned cost ~1e297, and a NaN ε ended in a retryable
+  // Internal "plan lost all mass".
+  const auto p = MakeViolated(21);
+  const CiSpec ci{{0}, {1}, {2}};
+  ot::EuclideanCost cost(3);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_invalid = [&](const FastOtCleanOptions& opts) {
+    Rng rng(22);
+    const auto single = FastOtClean(p, ci, cost, opts, rng);
+    EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
+    const auto multi = FastOtCleanMulti(p, {ci}, cost, opts, rng);
+    EXPECT_EQ(multi.status().code(), StatusCode::kInvalidArgument);
+  };
+  for (const double lambda : {-1.0, -0.1, 0.0, nan, inf}) {
+    SCOPED_TRACE(lambda);
+    FastOtCleanOptions opts = DefaultOptions();
+    opts.lambda = lambda;
+    expect_invalid(opts);
+  }
+  for (const double eps : {nan, inf, 0.0, -0.05}) {
+    SCOPED_TRACE(eps);
+    FastOtCleanOptions opts = DefaultOptions();
+    opts.epsilon = eps;
+    expect_invalid(opts);
+  }
+}
+
+TEST(FastOtCleanTest, ErrorsNameTheCalledEntryPoint) {
+  // Single-constraint errors used to read "FastOtCleanMulti: ...".
+  const CiSpec ci{{0}, {1}, {}};
+  ot::EuclideanCost cost(2);
+  JointDistribution unnormalized(Domain::FromCardinalities({2, 2}));
+  unnormalized[0] = 2.0;
+  const auto starts_with = [](const Status& s, const std::string& prefix) {
+    return s.message().rfind(prefix, 0) == 0;
+  };
+  for (const bool iterative_nmf : {false, true}) {
+    FastOtCleanOptions opts = DefaultOptions();
+    opts.iterative_nmf = iterative_nmf;
+    Rng rng(25);
+    const auto r = FastOtClean(unnormalized, ci, cost, opts, rng);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(starts_with(r.status(), "FastOtClean: "))
+        << r.status().message();
+    opts.epsilon = std::numeric_limits<double>::quiet_NaN();
+    const auto e = FastOtClean(MakeViolated(26), {{0}, {1}, {2}},
+                               ot::EuclideanCost(3), opts, rng);
+    EXPECT_TRUE(starts_with(e.status(), "FastOtClean: "))
+        << e.status().message();
+  }
+  Rng rng(27);
+  const auto m =
+      FastOtCleanMulti(unnormalized, {ci}, cost, DefaultOptions(), rng);
+  EXPECT_TRUE(starts_with(m.status(), "FastOtCleanMulti: "))
+      << m.status().message();
 }
 
 TEST(FastOtCleanTest, SharperEpsilonLowersTransportCost) {

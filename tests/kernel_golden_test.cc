@@ -3,7 +3,10 @@
 // one fixed FastOTClean repair per tier must reproduce exact iteration
 // counts and the exact bits of the potentials, the plan values and the
 // transport cost. Any change to the kernel code that alters a single
-// rounding in any tier fails here.
+// rounding in any tier fails here. The FastOTClean outer loop is pinned
+// the same way on its other paths: a two-constraint FastOtCleanMulti
+// repair, the iterative-NMF projection, and a repeat repair seeded from
+// the solve cache's warm-start store.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 
 #include "common/random.h"
 #include "core/fast_otclean.h"
+#include "core/solve_cache.h"
 #include "linalg/matrix.h"
 #include "linalg/precision.h"
 #include "linalg/simd.h"
@@ -147,14 +151,15 @@ Golden SinkhornGolden(const Tier& tier) {
   return {iterations, h.value()};
 }
 
-Golden FastOtCleanGolden(const Tier& tier) {
-  const prob::Domain dom = prob::Domain::FromCardinalities({3, 2, 4});
+prob::JointDistribution FixedData(const prob::Domain& dom) {
   prob::JointDistribution data(dom);
   Rng rng(77);
   for (size_t i = 0; i < data.size(); ++i) data[i] = 0.02 + rng.NextDouble();
   data.Normalize();
-  const prob::CiSpec ci{{0}, {1}, {2}};
-  const ot::EuclideanCost cost(3);
+  return data;
+}
+
+core::FastOtCleanOptions FixedFastOptions(const Tier& tier) {
   core::FastOtCleanOptions opts;
   opts.epsilon = 0.05;
   opts.lambda = 2.0;
@@ -167,8 +172,12 @@ Golden FastOtCleanGolden(const Tier& tier) {
   opts.precision = tier.precision;
   opts.epsilon_schedule.initial_epsilon = 0.4;
   opts.epsilon_schedule.stage_max_iterations = 30;
-  Rng solve_rng(11);
-  const auto r = core::FastOtClean(data, ci, cost, opts, solve_rng).value();
+  return opts;
+}
+
+/// Everything a repair reports, hashed; the Sinkhorn total is returned
+/// alongside.
+Golden HashRepair(const core::FastOtCleanResult& r) {
   BitHash h;
   h.Add(r.plan.Densify().data());
   h.Add(r.transport_cost);
@@ -179,6 +188,73 @@ Golden FastOtCleanGolden(const Tier& tier) {
     h.Add(static_cast<double>(s.iterations));
   }
   return {r.total_sinkhorn_iterations, h.value()};
+}
+
+Golden FastOtCleanGolden(const Tier& tier) {
+  const prob::JointDistribution data =
+      FixedData(prob::Domain::FromCardinalities({3, 2, 4}));
+  const prob::CiSpec ci{{0}, {1}, {2}};
+  const ot::EuclideanCost cost(3);
+  Rng solve_rng(11);
+  return HashRepair(
+      core::FastOtClean(data, ci, cost, FixedFastOptions(tier), solve_rng)
+          .value());
+}
+
+/// Two constraints at once: X ⊥ Y | Z and X ⊥ W | Z.
+Golden FastOtCleanMultiGolden(const Tier& tier) {
+  const prob::JointDistribution data =
+      FixedData(prob::Domain::FromCardinalities({3, 2, 4, 2}));
+  const std::vector<prob::CiSpec> cis = {{{0}, {1}, {2}}, {{0}, {3}, {2}}};
+  const ot::EuclideanCost cost(4);
+  Rng solve_rng(13);
+  return HashRepair(
+      core::FastOtCleanMulti(data, cis, cost, FixedFastOptions(tier),
+                             solve_rng)
+          .value());
+}
+
+Golden IterativeNmfGolden(const Tier& tier) {
+  const prob::JointDistribution data =
+      FixedData(prob::Domain::FromCardinalities({3, 2, 4}));
+  const prob::CiSpec ci{{0}, {1}, {2}};
+  const ot::EuclideanCost cost(3);
+  core::FastOtCleanOptions opts = FixedFastOptions(tier);
+  opts.iterative_nmf = true;
+  opts.nmf_max_iterations = 50;
+  Rng solve_rng(17);
+  return HashRepair(
+      core::FastOtClean(data, ci, cost, opts, solve_rng).value());
+}
+
+/// The second of two identical repairs under one SolveCache with the
+/// warm-start store on: it is seeded from the first run's converged
+/// potentials (so it skips ε-annealing) and credits the saved iterations.
+Golden CacheWarmGolden(const Tier& tier) {
+  const prob::JointDistribution data =
+      FixedData(prob::Domain::FromCardinalities({3, 2, 4}));
+  const prob::CiSpec ci{{0}, {1}, {2}};
+  const ot::EuclideanCost cost(3);
+  core::SolveCache cache;
+  core::FastOtCleanOptions opts = FixedFastOptions(tier);
+  opts.max_outer_iterations = 80;
+  opts.outer_tolerance = 1e-7;
+  opts.solve_cache = &cache;
+  opts.cache_warm_start = true;
+  opts.max_sinkhorn_iterations = 3000;
+  Rng first_rng(19);
+  const auto first = core::FastOtClean(data, ci, cost, opts, first_rng).value();
+  EXPECT_TRUE(first.converged) << tier.name;
+  EXPECT_FALSE(first.cache_warm_started) << tier.name;
+  Rng second_rng(19);
+  const auto r = core::FastOtClean(data, ci, cost, opts, second_rng).value();
+  EXPECT_TRUE(r.cache_warm_started) << tier.name;
+  EXPECT_GT(r.cache_warm_iterations_saved, 0u) << tier.name;
+  const Golden g = HashRepair(r);
+  BitHash h;
+  h.Add(static_cast<double>(g.bits));
+  h.Add(static_cast<double>(r.cache_warm_iterations_saved));
+  return {g.iterations, h.value()};
 }
 
 // Recorded on the scalar tier; one entry per kTiers row, same order.
@@ -194,6 +270,22 @@ constexpr Golden kFastOtCleanGolden[] = {
     {3577, 0xfcde4241d73d7822ull}, {2788, 0x8b9eae34eb6dd132ull},
     {3577, 0xa96b6f9b094043f0ull}, {2788, 0x886f4910b54a3edcull},
 };
+
+// The outer-loop paths, each on the dense f64 tiers: linear, then log.
+constexpr Tier kOuterLoopTiers[] = {kTiers[0], kTiers[1]};
+constexpr Golden kFastOtCleanMultiGolden[] = {
+    {3600, 0x39b1f770d6bde919ull}, {2580, 0x99b7ced35fe42284ull},
+};
+constexpr Golden kIterativeNmfGolden = {3577, 0xf04d5dc37e5c11b0ull};
+constexpr Golden kCacheWarmGolden[] = {
+    {16130, 0x8d13972adcdd01afull}, {9007, 0x34817d5d559200aeull},
+};
+
+void ExpectGolden(const Golden& got, const Golden& want, const char* name) {
+  EXPECT_EQ(got.iterations, want.iterations) << name;
+  EXPECT_EQ(got.bits, want.bits) << name << " {" << got.iterations << ", 0x"
+                                 << std::hex << got.bits << "ull}";
+}
 
 TEST(KernelGoldenTest, SinkhornEveryTierBitExact) {
   ScalarIsa scalar;
@@ -215,6 +307,28 @@ TEST(KernelGoldenTest, FastOtCleanEveryTierBitExact) {
     EXPECT_EQ(got.bits, kFastOtCleanGolden[t].bits)
         << kTiers[t].name << " {" << got.iterations << ", 0x" << std::hex
         << got.bits << "ull}";
+  }
+}
+
+TEST(KernelGoldenTest, FastOtCleanMultiTwoSpecsBitExact) {
+  ScalarIsa scalar;
+  for (size_t t = 0; t < std::size(kOuterLoopTiers); ++t) {
+    ExpectGolden(FastOtCleanMultiGolden(kOuterLoopTiers[t]),
+                 kFastOtCleanMultiGolden[t], kOuterLoopTiers[t].name);
+  }
+}
+
+TEST(KernelGoldenTest, FastOtCleanIterativeNmfBitExact) {
+  ScalarIsa scalar;
+  ExpectGolden(IterativeNmfGolden(kTiers[0]), kIterativeNmfGolden,
+               kTiers[0].name);
+}
+
+TEST(KernelGoldenTest, FastOtCleanCacheWarmStartBitExact) {
+  ScalarIsa scalar;
+  for (size_t t = 0; t < std::size(kOuterLoopTiers); ++t) {
+    ExpectGolden(CacheWarmGolden(kOuterLoopTiers[t]), kCacheWarmGolden[t],
+                 kOuterLoopTiers[t].name);
   }
 }
 

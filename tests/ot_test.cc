@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "linalg/log_transport_kernel.h"
+#include "linalg/transport_kernel.h"
 #include "ot/cost.h"
 #include "ot/exact.h"
 #include "ot/plan.h"
@@ -218,6 +220,23 @@ TEST(SinkhornTest, RejectsZeroMaxIterationsAndNonPositiveTolerance) {
   opts.max_iterations = 0;
   EXPECT_FALSE(RunSinkhorn(SimpleCost(), p, q, opts).ok());
   EXPECT_FALSE(RunSinkhornSparse(SimpleCost(), p, q, opts, 1e-9).ok());
+  // The prebuilt-kernel entry points reject a zero budget too, but accept
+  // a zero tolerance: there it asks for a fixed-count run.
+  const auto kernel =
+      linalg::DenseTransportKernel::FromCost(SimpleCost(), 0.1, 1);
+  const auto log_kernel =
+      linalg::DenseLogTransportKernel::FromCost(SimpleCost(), 0.1, 1);
+  EXPECT_EQ(RunSinkhornScaling(kernel, p, q, opts).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunSinkhornLogScaling(log_kernel, p, q, opts).status().code(),
+            StatusCode::kInvalidArgument);
+  const linalg::Vector skewed(std::vector<double>{0.3, 0.7});
+  opts.max_iterations = 7;
+  opts.tolerance = 0.0;
+  const SinkhornScaling fixed =
+      RunSinkhornScaling(kernel, p, skewed, opts).value();
+  EXPECT_EQ(fixed.iterations, 7u);
+  EXPECT_FALSE(fixed.converged);
 
   opts = SinkhornOptions{};
   opts.tolerance = 0.0;
@@ -226,6 +245,47 @@ TEST(SinkhornTest, RejectsZeroMaxIterationsAndNonPositiveTolerance) {
   EXPECT_FALSE(RunSinkhorn(SimpleCost(), p, q, opts).ok());
   opts.tolerance = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(RunSinkhorn(SimpleCost(), p, q, opts).ok());
+}
+
+TEST(SinkhornTest, RejectsNonFiniteOrNonPositiveEpsilonAndLambda) {
+  // Regression: a NaN ε passed the `epsilon <= 0` check and ended in a
+  // retryable "plan lost all mass", and a NaN λ in relaxed mode returned
+  // an all-zero plan marked converged. Every entry point rejects both.
+  const linalg::Matrix cost = SimpleCost();
+  const linalg::Vector p(std::vector<double>{0.5, 0.5});
+  const linalg::Vector q(std::vector<double>{0.5, 0.5});
+  const auto kernel = linalg::DenseTransportKernel::FromCost(cost, 0.1, 1);
+  const auto log_kernel =
+      linalg::DenseLogTransportKernel::FromCost(cost, 0.1, 1);
+  const auto expect_invalid = [&](const SinkhornOptions& opts) {
+    EXPECT_EQ(RunSinkhorn(cost, p, q, opts).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(RunSinkhornSparse(cost, p, q, opts, 0.0).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(RunSinkhornScaling(kernel, p, q, opts).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(RunSinkhornLogScaling(log_kernel, p, q, opts).status().code(),
+              StatusCode::kInvalidArgument);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double eps : {nan, inf, 0.0, -0.1}) {
+    SCOPED_TRACE(eps);
+    SinkhornOptions opts;
+    opts.epsilon = eps;
+    expect_invalid(opts);
+  }
+  for (const double lambda : {nan, inf, 0.0, -0.1, -1.0}) {
+    SCOPED_TRACE(lambda);
+    SinkhornOptions opts;
+    opts.relaxed = true;
+    opts.lambda = lambda;
+    expect_invalid(opts);
+  }
+  // λ only enters the relaxed update; hard-marginal solves ignore it.
+  SinkhornOptions hard;
+  hard.lambda = nan;
+  EXPECT_TRUE(RunSinkhorn(cost, p, q, hard).ok());
 }
 
 TEST(SinkhornTest, RejectsMalformedEpsilonSchedule) {
