@@ -1,18 +1,11 @@
-// Plan-storage + execution-engine bench for the sparse end-to-end path:
-//
-//   1. End-to-end FastOTClean, dense vs truncated-sparse kernel: kernel
-//      nonzeros, the fitted plan's storage (entries / bytes — CSR keeps
-//      exactly the kernel support, dense pays rows×cols), and wall time.
-//   2. Pooled vs inline kernel dispatch at small plan sizes, where the
-//      dispatch cost competes with the arithmetic: the same Sinkhorn
-//      scaling loop on the same kernel, with and without a ThreadPool
-//      (without one, the same chunks run inline on the calling thread).
-//
-// Cross-checks that sparse results match dense (cost within tolerance) and
-// that pooled potentials are bit-identical to inline ones — a silent
-// mismatch fails the run.
+// Plan-storage bench for the sparse end-to-end path: FastOTClean with a
+// dense vs a truncated-sparse kernel, reporting kernel nonzeros, the
+// fitted plan's storage (entries / bytes — CSR keeps exactly the kernel
+// support, dense pays rows×cols), and wall time. Cross-checks that the
+// sparse repair's transport cost matches the dense one — a silent mismatch
+// fails the run. (Pooled vs inline kernel dispatch is bench_kernel_parallel's
+// sweep.)
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -20,32 +13,13 @@
 
 #include "bench_common.h"
 #include "common/timer.h"
-#include "linalg/thread_pool.h"
 
 using namespace otclean;
-
-namespace {
-
-linalg::Matrix RandomCost(size_t m, size_t n, Rng& rng) {
-  linalg::Matrix cost(m, n);
-  for (double& v : cost.data()) v = rng.NextDouble() * 3.0;
-  return cost;
-}
-
-linalg::Vector RandomMarginal(size_t n, Rng& rng) {
-  linalg::Vector v(n);
-  for (size_t i = 0; i < n; ++i) v[i] = 0.05 + rng.NextDouble();
-  v.Normalize();
-  return v;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const bool full = bench::FullScale(argc, argv);
   bool ok = true;
 
-  // ---- 1. End-to-end FastOTClean: dense vs sparse plan storage. ----
   bench::PrintHeader(
       "Plan storage: dense vs CSR through FastOTClean + repair",
       "sparse plans cut kernel/plan memory by the truncation factor at "
@@ -97,61 +71,6 @@ int main(int argc, char** argv) {
                 report->transport_cost, timer.ElapsedSeconds());
   }
 
-  // ---- 2. Pooled vs inline dispatch on small plans. ----
-  bench::PrintHeader(
-      "Execution: persistent ThreadPool vs inline kernels",
-      "pooled dispatch spreads each primitive's chunks over the pool's "
-      "workers; inline runs the same chunks on the calling thread");
-
-  // At least 2 so the dispatch machinery engages even on a 1-core box
-  // (with 1 thread both modes run one inline chunk and measure the same
-  // thing).
-  const size_t threads = std::max<size_t>(2, linalg::ResolveThreadCount(0));
-  std::printf("# threads: %zu\n", threads);
-  std::printf("%-8s %-10s %-12s %-12s %-10s %-10s\n", "size", "mode",
-              "seconds", "iters", "iters_per_s", "speedup");
-  Rng rng(13);
-  const std::vector<size_t> sizes{64, 128, 256, full ? 1024u : 512u};
-  for (const size_t n : sizes) {
-    const linalg::Matrix cost = RandomCost(n, n, rng);
-    const linalg::Vector p = RandomMarginal(n, rng);
-    const linalg::Vector q = RandomMarginal(n, rng);
-    ot::SinkhornOptions opts;
-    opts.epsilon = 0.1;
-    opts.relaxed = true;
-    opts.lambda = 5.0;
-    opts.tolerance = 1e-10;
-    opts.num_threads = threads;
-
-    double inline_seconds = 0.0;
-    ot::SinkhornScaling inline_result;
-    for (const bool pooled : {false, true}) {
-      // Build the kernel outside the timer (shared by both modes); time
-      // only the scaling loop the pool accelerates.
-      linalg::ThreadPool pool(threads);
-      const linalg::DenseTransportKernel kernel =
-          linalg::DenseTransportKernel::FromCost(
-              cost, opts.epsilon, threads, pooled ? &pool : nullptr);
-      WallTimer timer;
-      const auto scaling =
-          ot::RunSinkhornScaling(kernel, p, q, opts).value();
-      const double seconds = timer.ElapsedSeconds();
-      if (!pooled) {
-        inline_seconds = seconds;
-        inline_result = scaling;
-      } else if (!scaling.u.ApproxEquals(inline_result.u, 0.0) ||
-                 !scaling.v.ApproxEquals(inline_result.v, 0.0) ||
-                 scaling.iterations != inline_result.iterations) {
-        ok = false;
-      }
-      std::printf("%-8zu %-10s %-12.4f %-12zu %-10.0f %-10.2f\n", n,
-                  pooled ? "pooled" : "inline", seconds, scaling.iterations,
-                  static_cast<double>(scaling.iterations) /
-                      (seconds > 0.0 ? seconds : 1e-9),
-                  pooled ? inline_seconds / (seconds > 0.0 ? seconds : 1e-9)
-                         : 1.0);
-    }
-  }
   std::printf("# cross-checks passed = %s\n", ok ? "yes" : "NO");
   return ok ? 0 : 1;
 }

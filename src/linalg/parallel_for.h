@@ -23,7 +23,18 @@ inline constexpr size_t kMinParallelGrain = 256;
 /// Minimum scalar operations per worker before threading pays for the
 /// dispatch. Callers whose loop indices carry non-unit work (e.g. one
 /// matrix row of n multiplies) should derive their grain from this.
-inline constexpr size_t kMinParallelWork = 2048;
+///
+/// Measured: bench_kernel_parallel sweeps serial against pooled
+/// Apply+ApplyTranspose by kernel size (BENCH_parallel_cutoff.json; 4
+/// cores, AVX-512, Release). With subnormals flushed and the pool's lanes
+/// free, a four-way split loses below ~100k nonzeros (0.3-0.7x on
+/// cache-resident kernels: waking workers costs more than the few
+/// microseconds of arithmetic they share) and wins ~2x from ~500k. When
+/// the host's cores are busy it loses at every size below ~2M. At 2^18 a
+/// kernel splits in two from ~0.5M nonzeros and four ways from ~1M, so
+/// the paper's 101×200 kernel runs inline and a 4.1M-nonzero one keeps
+/// its four chunks.
+inline constexpr size_t kMinParallelWork = size_t{1} << 18;
 
 /// Index grain for a loop whose every index costs ~`work_per_index` scalar
 /// ops: enough indices per worker to clear kMinParallelWork.

@@ -78,6 +78,7 @@ void ThreadPool::RunChunks(size_t num_chunks, void (*chunk_fn)(void*, size_t),
   job.ctx = ctx;
   job.num_chunks = num_chunks;
   job.stop = tls_stop_flag;
+  job.fp_mode = CurrentFpMode();
   {
     MutexLock lock(mutex_);
     if (workers_.empty()) {
@@ -117,6 +118,7 @@ void ThreadPool::RunChunks(size_t num_chunks, void (*chunk_fn)(void*, size_t),
 }
 
 void ThreadPool::WorkerLoop() {
+  const FpMode own_fp_mode = CurrentFpMode();
   for (;;) {
     Job* job = nullptr;
     {
@@ -130,6 +132,7 @@ void ThreadPool::WorkerLoop() {
       // to zero — also under this mutex.
       ++job->active_workers;
     }
+    SetFpMode(job->fp_mode);  // a no-op unless the modes differ
     size_t completed = 0;
     for (;;) {
       const size_t c = job->next_chunk.fetch_add(1, std::memory_order_relaxed);
@@ -137,6 +140,7 @@ void ThreadPool::WorkerLoop() {
       if (!ChunkStopped(*job)) job->chunk_fn(job->ctx, c);
       ++completed;
     }
+    SetFpMode(own_fp_mode);
     bool job_finished;
     {
       MutexLock lock(mutex_);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "linalg/fp_env.h"
 #include "linalg/parallel_for.h"
 
 namespace otclean::linalg {
@@ -35,6 +36,13 @@ namespace otclean::linalg {
 /// never on what else shares the pool — per-job results stay bit-identical
 /// whether the pool is private, shared sequentially, or shared by
 /// concurrent dispatchers.
+///
+/// FP mode: a worker runs a job's chunks in the dispatching thread's
+/// floating-point control mode (fp_env.h), captured at dispatch like the
+/// stop flag, and restores its own mode afterwards. Workers are created —
+/// and would otherwise inherit their FP mode — by whichever thread first
+/// dispatched, so without this a chunk's subnormal handling, and with it
+/// the pooled ≡ inline guarantee, would depend on who runs the chunk.
 class ThreadPool {
  public:
   /// Sizes the pool at `ResolveThreadCount(num_threads)` lanes (the
@@ -96,8 +104,8 @@ class ThreadPool {
   /// One in-flight dispatch. Lives on its dispatcher's stack; linked into
   /// jobs_head_ for the duration of the RunChunks call. All fields except
   /// next_chunk (claimed lock-free) and the immutable dispatch description
-  /// (chunk_fn/ctx/num_chunks/stop, written before publication) are
-  /// guarded by mutex_ — TSA cannot express "guarded by the owning pool's
+  /// (chunk_fn/ctx/num_chunks/stop/fp_mode, written before publication)
+  /// are guarded by mutex_ — TSA cannot express "guarded by the owning pool's
   /// mutex_" on a stack-allocated node (and the single-threaded inline
   /// path in RunChunks legitimately uses an unpublished Job lock-free), so
   /// the mutable fields document the discipline instead of annotating it.
@@ -111,6 +119,8 @@ class ThreadPool {
     /// Dispatcher's stop flag at dispatch time; when it reads true,
     /// participants claim+count remaining chunks without executing them.
     const std::atomic<bool>* stop = nullptr;
+    /// Dispatcher's FP control mode; workers run the chunks in it.
+    FpMode fp_mode = 0;
     Job* next = nullptr;  ///< intrusive list link; guarded by pool mutex_.
   };
 

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "core/solve_cache.h"
+#include "linalg/fp_env.h"
 #include "linalg/parallel_for.h"
 #include "linalg/thread_pool.h"
 #include "ot/kernel_factory.h"
@@ -63,6 +64,17 @@ Status RunScalingLoop(linalg::Vector& u, linalg::Vector& v,
     }
   }
   return Status::OK();
+}
+
+/// Max-change ‖a − b‖∞ between successive linear scalings, fused so the
+/// per-iteration check allocates nothing. Bit-identical to
+/// (a - b).NormInf(): the same differences, max-reduced in the same order.
+double ScalingDelta(const linalg::Vector& a, const linalg::Vector& b) {
+  double d = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    d = std::max(d, std::fabs(a[i] - b[i]));
+  }
+  return d;
 }
 
 /// Max-change between successive LOG-potential vectors. Two −inf entries
@@ -330,10 +342,14 @@ Result<SinkhornScaling> RunSinkhornScaling(
 
   // While the loop runs, pooled kernel dispatches observe the token too:
   // a fired token drains in-flight Apply/ApplyTranspose dispatches without
-  // touching their chunk decomposition.
+  // touching their chunk decomposition. Subnormals are flushed for the
+  // loop's duration (on pool workers too — they adopt the dispatcher's FP
+  // mode): the underflowing K_ij·v_j products would otherwise each cost a
+  // microcode assist, while rounding into sums far above them regardless.
   linalg::ThreadPool::ScopedStopFlag stop_scope(
       options.cancel_token != nullptr ? options.cancel_token->flag()
                                       : nullptr);
+  linalg::ScopedFlushSubnormals flush_scope;
   OTCLEAN_RETURN_NOT_OK(RunScalingLoop(
       out.u, out.v, options, "RunSinkhornScaling", out.iterations,
       out.converged,
@@ -347,10 +363,7 @@ Result<SinkhornScaling> RunSinkhornScaling(
         kernel.ApplyTranspose(u, ktu);
         scale(q, ktu, next_v);
       },
-      /*delta=*/
-      [](const linalg::Vector& a, const linalg::Vector& b) {
-        return (a - b).NormInf();
-      }));
+      /*delta=*/ScalingDelta));
   return out;
 }
 
@@ -383,6 +396,7 @@ Result<SinkhornLogScaling> RunSinkhornLogScaling(
   linalg::ThreadPool::ScopedStopFlag stop_scope(
       options.cancel_token != nullptr ? options.cancel_token->flag()
                                       : nullptr);
+  linalg::ScopedFlushSubnormals flush_scope;  // as in RunSinkhornScaling
   OTCLEAN_RETURN_NOT_OK(RunScalingLoop(
       out.lu, out.lv, options, "RunSinkhornLogScaling", out.iterations,
       out.converged,

@@ -186,7 +186,9 @@ struct SinkhornScaling {
 /// kernel once and reuse it across solves (e.g. warm-started outer
 /// loops). Errors on marginal / kernel dimension mismatch, on negative or
 /// non-finite marginal entries, and on options ValidateSinkhornOptions
-/// rejects.
+/// rejects. The loop runs under linalg::ScopedFlushSubnormals (fp_env.h),
+/// on the calling thread and on any pool workers it dispatches to; the
+/// caller's FP mode is restored on return.
 Result<SinkhornScaling> RunSinkhornScaling(
     const linalg::TransportKernel& kernel, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options,
@@ -210,7 +212,7 @@ struct SinkhornLogScaling {
 /// Convergence measures the max-change of the log-potentials, and a
 /// potential flipping between finite and −inf counts as an infinite
 /// change — the loop cannot report convergence across such a flip.
-/// Errors exactly as RunSinkhornScaling does.
+/// Errors, and flushes subnormals, exactly as RunSinkhornScaling does.
 Result<SinkhornLogScaling> RunSinkhornLogScaling(
     const linalg::LogTransportKernel& kernel, const linalg::Vector& p,
     const linalg::Vector& q, const SinkhornOptions& options,

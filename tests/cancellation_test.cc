@@ -10,6 +10,7 @@
 #include "core/repair_scheduler.h"
 #include "core/solve_cache.h"
 #include "datagen/synthetic.h"
+#include "pool_probe.h"
 
 namespace otclean::core {
 namespace {
@@ -36,6 +37,8 @@ CiConstraint XyGivenZ() { return CiConstraint({"x"}, {"y"}, {"z0"}); }
 /// A solve sized to run for minutes if nobody stops it: an 864-cell domain
 /// (the constraint spans all three z attrs) and tolerances no iterate will
 /// ever meet, so only the iteration budget — or a stop signal — ends it.
+/// Its ~570k-nonzero kernel splits across a 2-thread pool, so a stop lands
+/// on pooled kernel dispatches.
 struct HeavySolve {
   dataset::Table table =
       MakeViolatingTable(31, /*rows=*/2000, /*num_z_attrs=*/3, /*z_card=*/6);
@@ -43,6 +46,7 @@ struct HeavySolve {
   RepairOptions options;
 
   HeavySolve() {
+    options.fast.num_threads = 2;
     options.fast.max_outer_iterations = 100000;
     options.fast.outer_tolerance = 0.0;
     options.fast.max_sinkhorn_iterations = 5000;
@@ -78,11 +82,18 @@ TEST(CancellationTest, CrossThreadCancelStopsALargeSolvePromptly) {
   CancellationToken token;
   heavy.options.fast.cancel_token = &token;
 
+  testing::WorkerChunkProbe probe;
   Result<RepairReport> result = Status::Internal("never ran");
   std::thread solver([&] {
     result = RepairTable(heavy.table, heavy.constraint, heavy.options);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Cancel once the solve is dispatching to the pool (setup time varies a
+  // lot under sanitizers; 60 s bounds a solve that never pools).
+  const Clock::time_point started = Clock::now();
+  while (probe.pooled_chunks() < 100 && SecondsSince(started) < 60.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(probe.pooled_chunks(), 100u);
   const Clock::time_point cancelled_at = Clock::now();
   token.Cancel();
   solver.join();

@@ -9,6 +9,7 @@
 #include "core/solve_cache.h"
 #include "datagen/synthetic.h"
 #include "linalg/thread_pool.h"
+#include "pool_probe.h"
 
 namespace otclean::core {
 namespace {
@@ -237,14 +238,21 @@ TEST(FaultInjectionTest, PoisonedSolveNeverPublishesToTheCache) {
 
 // ------------------------------------------------------------ pool faults --
 
+/// A 2*2*7^3 = 1372-cell domain (the constraint must span every z attr —
+/// the cleaned domain only covers constraint columns) whose ~620k-nonzero
+/// kernel splits into >1 chunk per pass, so pool workers — and the chunk
+/// hook — run. Small domains take the inline path.
+dataset::Table MakeWideTable() {
+  return MakeViolatingTable(45, /*rows=*/600, /*num_z_attrs=*/3,
+                            /*z_card=*/7);
+}
+CiConstraint WideConstraint() {
+  return CiConstraint({"x"}, {"y"}, {"z0", "z1", "z2"});
+}
+
 TEST(FaultInjectionTest, WorkerDelayAloneChangesNothing) {
-  // A 2*2*6^3 = 864-cell domain (the constraint must span every z attr —
-  // the cleaned domain only covers constraint columns): wide enough that
-  // the pooled ParallelFor actually splits into >1 chunk, so pool workers
-  // — and the chunk hook — run. Small domains take the inline path.
-  const dataset::Table table =
-      MakeViolatingTable(45, /*rows=*/600, /*num_z_attrs=*/3, /*z_card=*/6);
-  const CiConstraint wide({"x"}, {"y"}, {"z0", "z1", "z2"});
+  const dataset::Table table = MakeWideTable();
+  const CiConstraint wide = WideConstraint();
   linalg::ThreadPool pool(2);  // the chunk hook lives in the pooled path
   RepairOptions opts;
   opts.fast.num_threads = 2;
@@ -254,8 +262,15 @@ TEST(FaultInjectionTest, WorkerDelayAloneChangesNothing) {
   opts.fast.max_outer_iterations = 2;
   opts.fast.max_sinkhorn_iterations = 30;
 
-  const Result<RepairReport> baseline = RepairTable(table, wide, opts);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  Result<RepairReport> baseline = Status::Internal("never ran");
+  {
+    testing::WorkerChunkProbe probe;
+    baseline = RepairTable(table, wide, opts);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    // ≥ 2 chunks per kernel pass, 2 passes per Sinkhorn iteration.
+    EXPECT_GE(probe.pooled_chunks(), 4 * baseline->total_sinkhorn_iterations);
+    EXPECT_GT(probe.worker_chunks(), 0u);
+  }
 
   FaultInjector inj;
   inj.Arm(FaultSite::kWorkerDelay, 1, /*sticky=*/true);
@@ -273,19 +288,24 @@ TEST(FaultInjectionTest, WorkerDelayAloneChangesNothing) {
 }
 
 TEST(FaultInjectionTest, WorkerDelayPlusTightDeadlineExpiresCleanly) {
-  const dataset::Table table = MakeViolatingTable(45, /*rows=*/500);
+  const dataset::Table table = MakeWideTable();
   FaultInjector inj;
   inj.Arm(FaultSite::kWorkerDelay, 1, /*sticky=*/true);
-  ScopedPoolDelayHook hook(inj, /*millis=*/10);
+  ScopedPoolDelayHook hook(inj, /*millis=*/50);
 
   linalg::ThreadPool pool(2);
   RepairOptions opts;
   opts.fast.num_threads = 2;
   opts.fast.thread_pool = &pool;
-  opts.fast.deadline = Deadline::After(0.05);
-  const Result<RepairReport> r = RepairTable(table, XyGivenZ(), opts);
+  // Tight against the delayed solve — every pooled chunk sleeps 50 ms, so
+  // one Sinkhorn iteration takes >= 100 ms and the solve needs minutes —
+  // yet long enough for setup to reach the pooled kernel passes even in a
+  // Debug sanitizer build.
+  opts.fast.deadline = Deadline::After(3.0);
+  const Result<RepairReport> r = RepairTable(table, WideConstraint(), opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GT(inj.hits(FaultSite::kWorkerDelay), 0u);
 }
 
 // ------------------------------------------------------ scheduler plumbing --

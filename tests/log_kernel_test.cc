@@ -23,6 +23,7 @@
 #include "ot/sinkhorn.h"
 #include "prob/domain.h"
 #include "prob/independence.h"
+#include "pool_probe.h"
 
 namespace otclean {
 namespace {
@@ -253,23 +254,31 @@ TEST(LogTransportKernelTest, SparseAtCutoffZeroMatchesDense) {
 }
 
 TEST(LogTransportKernelTest, ThreadCountsBitIdentical) {
-  const size_t m = 150, n = 170;
+  // 855k nonzeros: both passes split three ways across the pool.
+  const size_t m = 950, n = 900;
   const Matrix cost = RandomCost(m, n, 51);
+  linalg::ThreadPool pool(4);
   const DenseLogTransportKernel serial =
       DenseLogTransportKernel::FromCost(cost, 0.08, /*num_threads=*/1);
   const DenseLogTransportKernel threaded =
-      DenseLogTransportKernel::FromCost(cost, 0.08, /*num_threads=*/4);
+      DenseLogTransportKernel::FromCost(cost, 0.08, /*num_threads=*/4, &pool);
   Vector lv = RandomMarginal(n, 52);
   Vector lu = RandomMarginal(m, 53);
   for (size_t j = 0; j < n; ++j) lv[j] = std::log(lv[j]);
   for (size_t i = 0; i < m; ++i) lu[i] = std::log(lu[i]);
   Vector y1, y4, t1, t4;
   serial.LogApply(lv, y1);
-  threaded.LogApply(lv, y4);
   serial.LogApplyTranspose(lu, t1);
-  threaded.LogApplyTranspose(lu, t4);
-  for (size_t i = 0; i < m; ++i) EXPECT_EQ(y1[i], y4[i]) << i;
-  for (size_t j = 0; j < n; ++j) EXPECT_EQ(t1[j], t4[j]) << j;
+  testing::WorkerChunkProbe probe;
+  // One dispatch may finish before a worker wakes; repeat until workers
+  // took part (each repetition is checked).
+  for (int rep = 0; rep < 1000 && probe.worker_chunks() == 0; ++rep) {
+    threaded.LogApply(lv, y4);
+    threaded.LogApplyTranspose(lu, t4);
+    ASSERT_EQ(y4.data(), y1.data()) << "repetition " << rep;
+    ASSERT_EQ(t4.data(), t1.data()) << "repetition " << rep;
+  }
+  EXPECT_GT(probe.worker_chunks(), 0u);
 }
 
 // ------------------------------------------------- log ≡ linear solves ---
@@ -536,18 +545,25 @@ TEST(LogSinkhornF32Test, F32LogSolveBitIdenticalAcrossThreadCounts) {
   // must not change the iterate stream (strip-deterministic reductions),
   // so solves are bit-identical — iterations included — at 1 vs 4
   // threads. Tiers are NOT required to match each other bitwise; the
-  // cross-tier contract is the ULP envelope covered above.
-  const Matrix cost = RandomCost(10, 10, 111, 2.0);
-  const Vector p = RandomMarginal(10, 112);
-  const Vector q = RandomMarginal(10, 113);
+  // cross-tier contract is the ULP envelope covered above. 800×800
+  // (640k nnz) splits across the pool; bit-identity needs no
+  // convergence, so the iteration budget stays small.
+  const size_t n = 800;
+  const Matrix cost = RandomCost(n, n, 111, 2.0);
+  const Vector p = RandomMarginal(n, 112);
+  const Vector q = RandomMarginal(n, 113);
   ot::SinkhornOptions opts;
   opts.epsilon = 0.08;
+  opts.max_iterations = 30;
   opts.log_domain = true;
   opts.precision = linalg::Precision::kFloat32;
   opts.num_threads = 1;
   const auto serial = ot::RunSinkhorn(cost, p, q, opts).value();
   opts.num_threads = 4;
+  testing::WorkerChunkProbe probe;
   const auto threaded = ot::RunSinkhorn(cost, p, q, opts).value();
+  EXPECT_GE(probe.pooled_chunks(), 4 * threaded.iterations);
+  EXPECT_GT(probe.worker_chunks(), 0u);
   EXPECT_EQ(threaded.iterations, serial.iterations);
   EXPECT_TRUE(threaded.u.data() == serial.u.data());
   EXPECT_TRUE(threaded.v.data() == serial.v.data());

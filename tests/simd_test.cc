@@ -12,6 +12,7 @@
 #include "linalg/thread_pool.h"
 #include "linalg/transport_kernel.h"
 #include "ot/sinkhorn.h"
+#include "pool_probe.h"
 
 namespace otclean::linalg::simd {
 namespace {
@@ -354,13 +355,13 @@ TEST(SimdF32Test, F32ElementwiseRecipesAreBitIdenticalAcrossTiers) {
 namespace {
 
 struct SolveProblem {
-  Matrix cost{24, 24};
-  Vector p{24}, q{24};
+  Matrix cost;
+  Vector p, q;
 
-  SolveProblem() {
+  explicit SolveProblem(size_t n = 24) : cost(n, n), p(n), q(n) {
     Rng rng(5);
     for (double& c : cost.data()) c = rng.NextDouble();
-    for (size_t i = 0; i < 24; ++i) {
+    for (size_t i = 0; i < n; ++i) {
       p[i] = 0.2 + rng.NextDouble();
       q[i] = 0.2 + rng.NextDouble();
     }
@@ -379,11 +380,16 @@ struct SolveOut {
 TEST(SimdF32Test, F32SolveBitIdenticalAcrossThreadCountsAndPools) {
   // The per-(tier, precision) determinism contract, f32 edition: serial,
   // spawned-pool, and shared-pool solves agree bit for bit, on the dense
-  // and truncated-sparse paths, linear and log domain.
-  const SolveProblem prob;
+  // and truncated-sparse paths, linear and log domain. At 900×900 the
+  // dense kernel (810k nnz) and its 1e-4 truncation (~600k) both split
+  // across the pool; the probe below checks that they did.
+  const SolveProblem prob(900);
   ot::SinkhornOptions base;
   base.epsilon = 0.08;
   base.tolerance = 1e-10;
+  // Bit-identity needs no convergence; a few dozen iterations at this size
+  // exercise every pass without a minutes-long log-domain solve.
+  base.max_iterations = 30;
   base.precision = Precision::kFloat32;
 
   for (const bool log_domain : {false, true}) {
@@ -409,8 +415,17 @@ TEST(SimdF32Test, F32SolveBitIdenticalAcrossThreadCountsAndPools) {
       };
       ThreadPool pool(4);
       const SolveOut serial = run(1, nullptr);
+      testing::WorkerChunkProbe probe;
       const SolveOut spawned = run(4, nullptr);
+      const size_t spawned_chunks = probe.pooled_chunks();
       const SolveOut pooled = run(4, &pool);
+      // ≥ 2 chunks per pass, 2 passes per iteration, on both pools.
+      EXPECT_GE(spawned_chunks, 4 * spawned.iterations)
+          << "log=" << log_domain << " sparse=" << sparse;
+      EXPECT_GE(probe.pooled_chunks() - spawned_chunks, 4 * pooled.iterations)
+          << "log=" << log_domain << " sparse=" << sparse;
+      EXPECT_GT(probe.worker_chunks(), 0u)
+          << "log=" << log_domain << " sparse=" << sparse;
       EXPECT_EQ(serial.iterations, spawned.iterations)
           << "log=" << log_domain << " sparse=" << sparse;
       EXPECT_TRUE(serial.u == spawned.u && serial.v == spawned.v)

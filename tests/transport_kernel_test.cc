@@ -10,6 +10,7 @@
 #include "ot/cost.h"
 #include "ot/sinkhorn.h"
 #include "prob/domain.h"
+#include "pool_probe.h"
 
 namespace otclean::linalg {
 namespace {
@@ -221,7 +222,7 @@ TEST(UnifiedSinkhornTest, ProviderAndMatrixSparseSolvesAreIdentical) {
 TEST(TransportKernelTest, DensePrimitivesBitIdenticalAcrossThreadCounts) {
   // Sizes large enough that the work-based grain actually engages multiple
   // workers, and awkward enough to give uneven chunk boundaries.
-  const size_t m = 137, n = 151;
+  const size_t m = 951, n = 899;
   const Matrix cost = RandomCost(m, n, 41);
   const Vector u = RandomMarginal(m, 42);
   const Vector v = RandomMarginal(n, 43);
@@ -233,6 +234,8 @@ TEST(TransportKernelTest, DensePrimitivesBitIdenticalAcrossThreadCounts) {
   const double cost1 = serial.TransportCost(cost, u, v);
 
   for (size_t threads : {2, 3, 5}) {
+    ASSERT_GT(PlanChunks(m, threads, GrainForWork(n)).num_chunks, 1u);
+    ASSERT_GT(PlanChunks(n, threads, GrainForWork(m)).num_chunks, 1u);
     const DenseTransportKernel parallel(cost.GibbsKernel(0.3), threads);
     Vector kv, ktu;
     parallel.Apply(v, kv);
@@ -245,7 +248,8 @@ TEST(TransportKernelTest, DensePrimitivesBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(TransportKernelTest, SparsePrimitivesBitIdenticalAcrossThreadCounts) {
-  const size_t m = 149, n = 163;
+  // ~650k kept entries: both passes split at every thread count below.
+  const size_t m = 1009, n = 1051;
   const Matrix cost = RandomCost(m, n, 51);
   const Vector u = RandomMarginal(m, 52);
   const Vector v = RandomMarginal(n, 53);
@@ -256,7 +260,10 @@ TEST(TransportKernelTest, SparsePrimitivesBitIdenticalAcrossThreadCounts) {
   serial.ApplyTranspose(u, ktu1);
   const double cost1 = serial.TransportCost(cost, u, v);
 
+  const size_t nnz = serial.nnz();
   for (size_t threads : {2, 4}) {
+    ASSERT_GT(PlanChunks(m, threads, GrainForWork(nnz / m)).num_chunks, 1u);
+    ASSERT_GT(PlanChunks(n, threads, GrainForWork(nnz / n)).num_chunks, 1u);
     const SparseTransportKernel parallel =
         SparseTransportKernel::FromCost(cost, 0.2, 1e-4, threads);
     Vector kv, ktu;
@@ -291,9 +298,12 @@ TEST(UnifiedSinkhornTest, DenseAndSparseCutoffZeroProduceIdenticalResults) {
 }
 
 TEST(UnifiedSinkhornTest, SerialAndParallelSolvesAreIdentical) {
-  const Matrix cost = RandomCost(143, 131, 71);
-  const Vector p = RandomMarginal(143, 72);
-  const Vector q = RandomMarginal(131, 73);
+  // The dense kernel (810k nnz) and its 1e-9 truncation (~560k) both
+  // split across the solver's pool: at least 2 chunks per pass, 2 passes
+  // per iteration.
+  const Matrix cost = RandomCost(900, 900, 71);
+  const Vector p = RandomMarginal(900, 72);
+  const Vector q = RandomMarginal(900, 73);
   ot::SinkhornOptions serial_opts;
   serial_opts.epsilon = 0.1;
   serial_opts.relaxed = true;
@@ -304,16 +314,22 @@ TEST(UnifiedSinkhornTest, SerialAndParallelSolvesAreIdentical) {
 
   ot::SinkhornOptions parallel_opts = serial_opts;
   parallel_opts.num_threads = 4;
+  testing::WorkerChunkProbe probe;
   const auto parallel = ot::RunSinkhorn(cost, p, q, parallel_opts).value();
+  const size_t dense_chunks = probe.pooled_chunks();
+  EXPECT_GE(dense_chunks, 4 * parallel.iterations);
+  EXPECT_GT(probe.worker_chunks(), 0u);
 
   EXPECT_EQ(parallel.iterations, serial.iterations);
   EXPECT_TRUE(parallel.plan.ApproxEquals(serial.plan, 0.0));
   EXPECT_EQ(parallel.transport_cost, serial.transport_cost);
 
   const auto sparse_serial =
-      ot::RunSinkhornSparse(cost, p, q, serial_opts, 1e-5).value();
+      ot::RunSinkhornSparse(cost, p, q, serial_opts, 1e-9).value();
   const auto sparse_parallel =
-      ot::RunSinkhornSparse(cost, p, q, parallel_opts, 1e-5).value();
+      ot::RunSinkhornSparse(cost, p, q, parallel_opts, 1e-9).value();
+  EXPECT_GE(probe.pooled_chunks() - dense_chunks,
+            4 * sparse_parallel.iterations);
   EXPECT_EQ(sparse_parallel.iterations, sparse_serial.iterations);
   EXPECT_TRUE(sparse_parallel.plan.ToDense().ApproxEquals(
       sparse_serial.plan.ToDense(), 0.0));
