@@ -1,12 +1,9 @@
 // Cross-request solve-cache bench: jobs/sec and total Sinkhorn iterations
-// for a repeated-key batch served three ways through core::RepairScheduler —
+// for a repeated-key batch served two ways through core::RepairScheduler —
 //
 //   off            no cache (pre-cache serving model)
-//   kernel         SolveCache with kernel reuse only (the always-on tier:
-//                  hits are bit-identical to misses)
-//   kernel+warm    kernel reuse + cross-request warm starts
-//                  (--cache-warm; converges to the same tolerance in fewer
-//                  Sinkhorn iterations, not bit-identical)
+//   kernel         SolveCache kernel reuse (hits are bit-identical to
+//                  misses)
 //
 // The batch repeats a handful of distinct (table, ε, truncation) keys many
 // times — the serving pattern the cache exists for (one tenant's nightly
@@ -15,7 +12,7 @@
 // repeated keys the build dominates and reuse pays regardless of core
 // count. Kernel-reuse results must stay bit-identical to the cache-off run
 // job for job; any mismatch fails the bench, as does a kernel-reuse
-// speedup below 1.5x or warm starts failing to save iterations.
+// speedup below 1.5x.
 //
 // Results are printed as a table and written to BENCH_solve_cache.json.
 //
@@ -42,8 +39,6 @@ struct LevelResult {
   size_t sinkhorn_iterations = 0;
   size_t kernel_hits = 0;
   size_t kernel_misses = 0;
-  size_t warm_hits = 0;
-  size_t warm_iterations_saved = 0;
   size_t bytes_cached = 0;
 };
 
@@ -68,11 +63,10 @@ void WriteJson(const std::string& path, size_t num_jobs, size_t distinct_keys,
         f,
         "    {\"mode\": \"%s\", \"seconds\": %.4f, \"jobs_per_sec\": %.2f, "
         "\"speedup_vs_off\": %.2f, \"sinkhorn_iterations\": %zu, "
-        "\"kernel_hits\": %zu, \"kernel_misses\": %zu, \"warm_hits\": %zu, "
-        "\"warm_iterations_saved\": %zu, \"bytes_cached\": %zu}%s\n",
+        "\"kernel_hits\": %zu, \"kernel_misses\": %zu, "
+        "\"bytes_cached\": %zu}%s\n",
         r.mode.c_str(), r.seconds, r.jobs_per_sec, r.speedup,
-        r.sinkhorn_iterations, r.kernel_hits, r.kernel_misses, r.warm_hits,
-        r.warm_iterations_saved, r.bytes_cached,
+        r.sinkhorn_iterations, r.kernel_hits, r.kernel_misses, r.bytes_cached,
         i + 1 < levels.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -90,10 +84,9 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader(
-      "Solve cache: repeated-key batches with kernel reuse and warm starts",
+      "Solve cache: repeated-key batches with kernel reuse",
       "kernel reuse serves repeated keys bit-identically at >= 1.5x "
-      "jobs/sec; warm starts additionally cut Sinkhorn iterations at equal "
-      "tolerance");
+      "jobs/sec");
 
   // Two tables x two option variants = 4 distinct cache keys, each repeated
   // `repeats` times. Wide z-attributes grow the domain (the rows x cols
@@ -125,8 +118,8 @@ int main(int argc, char** argv) {
       // Clean the full joint (w-attributes included): the kernel streams
       // active_rows x |domain| costs at build, which is the work the cache
       // skips on repeated keys. Gentle lambda + loose-ish tolerances so
-      // every job converges (warm starts only store converged potentials),
-      // and an aggressive cutoff so iteration work stays O(small nnz).
+      // every job converges, and an aggressive cutoff so iteration work
+      // stays O(small nnz).
       job.options.use_saturation = false;
       job.options.fast.epsilon = 0.3;
       job.options.fast.lambda = 2.0;
@@ -150,17 +143,15 @@ int main(int argc, char** argv) {
               jobs.size(), distinct_keys, repeats,
               linalg::ResolveThreadCount(0));
   std::printf("%-14s %-10s %-12s %-10s %-12s %-18s\n", "mode", "seconds",
-              "jobs_per_s", "speedup", "sink_iters", "hits/misses/warm");
+              "jobs_per_s", "speedup", "sink_iters", "hits/misses");
 
   struct Mode {
     const char* name;
     size_t cache_bytes;
-    bool warm;
   };
   const Mode modes[] = {
-      {"off", 0, false},
-      {"kernel", 512u << 20, false},
-      {"kernel+warm", 512u << 20, true},
+      {"off", 0},
+      {"kernel", 512u << 20},
   };
 
   bool identical = true;
@@ -172,16 +163,11 @@ int main(int argc, char** argv) {
     sched.cache_bytes = mode.cache_bytes;
     core::RepairScheduler scheduler(sched);
 
-    std::vector<core::RepairJob> batch = jobs;
-    for (core::RepairJob& job : batch) {
-      job.options.fast.cache_warm_start = mode.warm;
-    }
-
     // Warm-up pass: pool startup and table fault-in leave the timing; for
-    // the cached modes it also pre-populates the cache, so the measured
+    // the cached mode it also pre-populates the cache, so the measured
     // pass times *steady-state* serving (every key resident).
-    scheduler.Run(batch);
-    core::BatchReport report = scheduler.Run(batch);
+    scheduler.Run(jobs);
+    core::BatchReport report = scheduler.Run(jobs);
     if (report.failed_jobs != 0) {
       std::fprintf(stderr, "FAILED: %zu jobs failed in mode %s\n",
                    report.failed_jobs, mode.name);
@@ -195,8 +181,6 @@ int main(int argc, char** argv) {
     level.sinkhorn_iterations = report.total_sinkhorn_iterations;
     level.kernel_hits = report.cache.kernel_hits;
     level.kernel_misses = report.cache.kernel_misses;
-    level.warm_hits = report.cache.warm_hits;
-    level.warm_iterations_saved = report.cache.warm_iterations_saved;
     level.bytes_cached = report.cache.bytes_cached;
     if (levels.empty()) {
       level.speedup = 1.0;
@@ -205,7 +189,7 @@ int main(int argc, char** argv) {
     }
 
     // Kernel reuse must not change a single byte of any repair.
-    if (!levels.empty() && !mode.warm) {
+    if (!levels.empty()) {
       // Compare against the cache-off run job for job (same seeds/ids).
       core::RepairSchedulerOptions plain;
       plain.max_concurrent_jobs = 1;
@@ -227,10 +211,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    std::printf("%-14s %-10.3f %-12.2f %-10.2f %-12zu %zu/%zu/%zu\n",
+    std::printf("%-14s %-10.3f %-12.2f %-10.2f %-12zu %zu/%zu\n",
                 level.mode.c_str(), level.seconds, level.jobs_per_sec,
                 level.speedup, level.sinkhorn_iterations, level.kernel_hits,
-                level.kernel_misses, level.warm_hits);
+                level.kernel_misses);
     levels.push_back(level);
   }
 
@@ -240,26 +224,14 @@ int main(int argc, char** argv) {
               identical ? "yes" : "NO");
 
   bool gates_ok = true;
-  // Gate 1: kernel reuse pays >= 1.5x on repeated keys. This is CPU work
-  // saved, not parallelism — it must hold on any core count. (Smoke mode
-  // only reports: tiny problems leave too little build work to amortize.)
+  // Kernel reuse pays >= 1.5x on repeated keys. This is CPU work saved,
+  // not parallelism — it must hold on any core count. (Smoke mode only
+  // reports: tiny problems leave too little build work to amortize.)
   if (!smoke && levels[1].speedup < 1.5) {
     gates_ok = false;
     std::fprintf(stderr,
                  "SPEEDUP: kernel reuse %.2fx vs off — expected >= 1.5x\n",
                  levels[1].speedup);
-  }
-  // Gate 2: warm starts save measured Sinkhorn iterations at equal
-  // tolerance (steady state: every key has stored potentials).
-  if (!smoke && (levels[2].sinkhorn_iterations >=
-                     levels[0].sinkhorn_iterations ||
-                 levels[2].warm_iterations_saved == 0)) {
-    gates_ok = false;
-    std::fprintf(stderr,
-                 "WARMSTART: %zu iterations vs %zu cache-off, %zu saved — "
-                 "expected a reduction\n",
-                 levels[2].sinkhorn_iterations, levels[0].sinkhorn_iterations,
-                 levels[2].warm_iterations_saved);
   }
   return identical && gates_ok ? 0 : 1;
 }

@@ -14,7 +14,7 @@ namespace otclean {
 /// A one-shot cooperative stop signal. The owner (a caller, or the
 /// RepairScheduler on behalf of `Cancel(job_id)`) fires it from any thread;
 /// the solver layers poll it at safe points — per scaling-loop iteration,
-/// per ε-annealing stage, per FastOTClean outer step, and between chunk
+/// per FastOTClean outer step, and between chunk
 /// executions inside ThreadPool dispatches — and abort with
 /// `StatusCode::kCancelled`. Firing is sticky: a token cannot be reset, so
 /// one token serves exactly one unit of work.

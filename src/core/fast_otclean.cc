@@ -132,10 +132,7 @@ ot::KernelSpec FastKernelSpec(const FastOtCleanOptions& options,
   return spec;
 }
 
-/// The relaxed inner-solve options of a repair. They also carry what
-/// ot::SeedSolve reads to seed the first solve — the warm-start store and
-/// the ε schedule — both gated on `warm_start`, since an unwarmed loop
-/// would throw the seed away. The engine ignores those fields.
+/// The relaxed inner-solve options of a repair.
 ot::SinkhornOptions InnerSolveOptions(const FastOtCleanOptions& options) {
   ot::SinkhornOptions sink;
   sink.epsilon = options.epsilon;
@@ -149,8 +146,6 @@ ot::SinkhornOptions InnerSolveOptions(const FastOtCleanOptions& options) {
   sink.cancel_token = options.cancel_token;
   sink.deadline = options.deadline;
   sink.solve_cache = options.solve_cache;
-  sink.cache_warm_start = options.warm_start && options.cache_warm_start;
-  if (options.warm_start) sink.epsilon_schedule = options.epsilon_schedule;
   return sink;
 }
 
@@ -206,10 +201,9 @@ class NanPoisonedCostView final : public linalg::CostProvider {
 /// cost fingerprint alone is not enough: the kernel's values depend on
 /// which tuples the active-domain restriction decodes at each row/column,
 /// so the domain shape and both cell lists are folded in. This combined
-/// fingerprint seeds both the outer kernel's cache key and (as
-/// `cache_cost_fingerprint`) the ε-annealing stages' per-ε keys, so stage
-/// kernels from different repairs of the same table share cache entries.
-/// 0 when the cost is unfingerprintable (caching off).
+/// fingerprint keys the outer kernel in the solve cache, so repairs of the
+/// same table share one cached kernel. 0 when the cost is
+/// unfingerprintable (caching off).
 uint64_t FastCostFingerprint(const ot::CostFunction& cost,
                              const prob::Domain& dom,
                              const std::vector<size_t>& row_cells,
@@ -416,16 +410,8 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
     result.cache_kernel_hits = kernel.build.cache_hit ? 1 : 0;
     result.cache_kernel_misses = kernel.build.cache_hit ? 0 : 1;
   }
-  // The first solve is seeded from the warm-start store or ε-annealing
-  // against the initial Q; every later one from the previous step.
-  OTCLEAN_ASSIGN_OR_RETURN(
-      ot::SolveSeed seed,
-      ot::SeedSolve(build_view, p, columns_of(q), sink, spec,
-                    /*warm_u=*/nullptr, /*warm_v=*/nullptr, where));
-  result.cache_warm_started = seed.from_store;
-  result.anneal_stages = std::move(seed.anneal_stages);
-  linalg::Vector warm_u = seed.u ? std::move(*seed.u) : linalg::Vector();
-  linalg::Vector warm_v = seed.v ? std::move(*seed.v) : linalg::Vector();
+  // The first solve starts cold; every later one from the previous step.
+  linalg::Vector warm_u, warm_v;
   linalg::Vector ktu;
 
   for (size_t outer = 0; outer < options.max_outer_iterations; ++outer) {
@@ -486,9 +472,6 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
                                        warm_v, result.transport_cost);
   result.target = q;
   result.target_cmi = prob::MaxCmi(q, cis);
-  result.cache_warm_iterations_saved =
-      seed.Finish(warm_u, warm_v, result.total_sinkhorn_iterations,
-                  result.converged);
   return result;
 }
 

@@ -90,23 +90,6 @@ struct FastOtCleanOptions {
   /// The RepairScheduler injects its per-batch cache here — scheduled
   /// jobs must leave it null, exactly like `thread_pool`.
   SolveCache* solve_cache = nullptr;
-  /// With `solve_cache` set, also seed the *first* outer step from the
-  /// converged potentials of the previous run under the same key (the
-  /// paper's Section-5 warm start, lifted across requests), and store this
-  /// run's converged potentials back. Off by default: warm-started runs
-  /// meet the same tolerances but are not bit-identical to cold ones, and
-  /// with concurrent jobs the store's contents depend on arrival order.
-  /// Only takes effect when `warm_start` is also on; stored potentials
-  /// whose sizes mismatch the problem fall back to a cold start.
-  bool cache_warm_start = false;
-  /// ε-annealing for the FIRST inner solve (ot::EpsilonSchedule): run a
-  /// short sequence of larger-ε stages and seed the outer loop's warm
-  /// potentials from them, instead of cold-starting the sharp final ε.
-  /// Later outer steps are already warm via `warm_start`. Skipped when a
-  /// cross-request cached warm start is available (that is warmer still)
-  /// or when `warm_start` is off (the stage potentials would be thrown
-  /// away). Stage kernels share the solve cache under per-ε keys.
-  ot::EpsilonSchedule epsilon_schedule;
   /// Storage precision of the inner Sinkhorn kernel
   /// (ot::SinkhornOptions::precision): kFloat32 halves kernel memory
   /// traffic; all accumulation stays double, outputs stay double, and
@@ -156,16 +139,6 @@ struct FastOtCleanResult {
   /// callers (RepairScheduler, reports) can sum across runs.
   size_t cache_kernel_hits = 0;
   size_t cache_kernel_misses = 0;
-  /// True when the first outer step was seeded from cached potentials.
-  bool cache_warm_started = false;
-  /// Iterations saved vs. the key's cold baseline (0 unless warm-started
-  /// and actually faster).
-  size_t cache_warm_iterations_saved = 0;
-  /// ε-annealing stage records (empty unless `epsilon_schedule` ran).
-  /// Stage iterations are NOT counted in `total_sinkhorn_iterations` —
-  /// that stays comparable with unannealed runs; report both to see the
-  /// trade.
-  std::vector<ot::EpsilonAnnealStage> anneal_stages;
 };
 
 /// FastOTClean: computes a probabilistic data cleaner for `p_data` under

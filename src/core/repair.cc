@@ -41,11 +41,8 @@ void PopulateFastSolveReport(const FastOtCleanResult& r,
   report.sinkhorn_domain = fast.log_domain ? "log" : "linear";
   report.precision =
       fast.precision == linalg::Precision::kFloat32 ? "f32" : "f64";
-  report.anneal_stages = r.anneal_stages;
   report.cache_kernel_hits = r.cache_kernel_hits;
   report.cache_kernel_misses = r.cache_kernel_misses;
-  report.cache_warm_started = r.cache_warm_started;
-  report.cache_warm_iterations_saved = r.cache_warm_iterations_saved;
   PopulatePlanReport(r.plan, report);
 }
 
@@ -154,9 +151,7 @@ bool RetryableFailure(const Status& s) {
 
 /// Applies the next fallback tier to `opts` and appends a note to
 /// `recovery`: linear → log domain first (fixes scaling under/overflow
-/// outright), then ε doubling (smooths a kernel too sharp to converge). An
-/// ε-annealing schedule that no longer brackets the loosened ε is dropped
-/// — it would otherwise fail validation loudly mid-recovery.
+/// outright), then ε doubling (smooths a kernel too sharp to converge).
 void ApplyFallback(RepairOptions& opts, size_t attempt,
                    const Status& failure, std::string& recovery) {
   std::string note;
@@ -166,11 +161,6 @@ void ApplyFallback(RepairOptions& opts, size_t attempt,
   } else {
     opts.fast.epsilon *= 2.0;
     note = "epsilon x2 -> " + std::to_string(opts.fast.epsilon);
-    if (opts.fast.epsilon_schedule.enabled() &&
-        opts.fast.epsilon_schedule.initial_epsilon <= opts.fast.epsilon) {
-      opts.fast.epsilon_schedule = ot::EpsilonSchedule{};
-      note += " (schedule dropped)";
-    }
   }
   if (!recovery.empty()) recovery += "; ";
   recovery += "attempt " + std::to_string(attempt + 2) + ": " + note +
@@ -202,6 +192,7 @@ Result<RepairReport> GuardedAttempt(
 /// as "retried-ok"; if every fallback still fails, the best
 /// ok-but-unconverged result seen (if any) is returned rather than the
 /// final error — degradation never makes the outcome worse than attempt 1.
+/// An unconverged result terminates as "iteration-cap".
 Result<RepairReport> RunWithRetries(
     const RepairOptions& options,
     const std::function<Result<RepairReport>(const RepairOptions&)>&
@@ -237,10 +228,12 @@ Result<RepairReport> RunWithRetries(
       if (r.ok()) {
         RepairReport report = std::move(r).value();
         report.retry_attempts = attempt;
+        report.termination = "iteration-cap";
         report.recovery = recovery;
         return report;
       }
       if (best.has_value()) {
+        best->termination = "iteration-cap";
         best->recovery = recovery + "; fallback failed (" +
                          r.status().ToString() +
                          "), keeping earlier unconverged result";

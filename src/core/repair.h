@@ -49,8 +49,7 @@ struct FairnessOptions {
 /// progressively safer configuration instead of hard-failing: the first
 /// fallback switches the inner Sinkhorn to the log domain (immune to the
 /// under/overflow that kills linear scalings at small ε), subsequent ones
-/// double ε (dropping an ε-annealing schedule once it no longer brackets
-/// the loosened target). Every fallback taken is recorded in
+/// double ε. Every fallback taken is recorded in
 /// RepairReport::{termination, retry_attempts, recovery}. Non-retryable
 /// errors (InvalidArgument, kCancelled, kDeadlineExceeded,
 /// kResourceExhausted, ...) always propagate immediately.
@@ -115,21 +114,17 @@ struct RepairReport {
   /// unfingerprintable).
   size_t cache_kernel_hits = 0;
   size_t cache_kernel_misses = 0;
-  bool cache_warm_started = false;
-  size_t cache_warm_iterations_saved = 0;
   /// Storage precision of the Gibbs kernel the solver iterated on ("f64"
   /// or "f32"; FastOtCleanOptions::precision / the CLI's --precision).
   /// "n/a" for the QCLP solver.
   const char* precision = "f64";
-  /// ε-annealing stage records of the fit, in stage order (empty unless
-  /// FastOtCleanOptions::epsilon_schedule ran). Stage iterations are not
-  /// counted in `total_sinkhorn_iterations`.
-  std::vector<ot::EpsilonAnnealStage> anneal_stages;
-  /// How the repair terminated: "ok" (first attempt), or "retried-ok" when
-  /// RetryOptions fallbacks recovered a converged solve after at least one
-  /// retryable failure. Failed repairs never produce a report — their
-  /// reason lives in the returned Status code (kCancelled,
-  /// kDeadlineExceeded, kResourceExhausted, ...).
+  /// How the repair terminated: "ok" (converged on the first attempt),
+  /// "retried-ok" when RetryOptions fallbacks recovered a converged solve
+  /// after at least one retryable failure, or "iteration-cap" when the
+  /// returned result is unconverged (every attempt ran out of its
+  /// iteration budget; `converged` is false). Failed repairs never produce
+  /// a report — their reason lives in the returned Status code
+  /// (kCancelled, kDeadlineExceeded, kResourceExhausted, ...).
   const char* termination = "ok";
   /// Fallback attempts taken beyond the first try (0 without retries).
   size_t retry_attempts = 0;

@@ -331,7 +331,7 @@ BatchReport RepairScheduler::Run(const std::vector<RepairJob>& jobs) {
     Result<RepairReport>& r = *slot;
     if (r.ok()) {
       ++report.completed_jobs;
-      if (r->retry_attempts > 0) ++report.retried_jobs;
+      if (r->converged && r->retry_attempts > 0) ++report.retried_jobs;
       report.total_sinkhorn_iterations += r->total_sinkhorn_iterations;
       report.peak_plan_bytes =
           std::max(report.peak_plan_bytes, r->plan_memory_bytes);

@@ -13,11 +13,6 @@ size_t MatrixBytes(const std::shared_ptr<const M>& m) {
   return m ? m->size() * sizeof(m->data()[0]) : 0;
 }
 
-size_t WarmBytes(const std::optional<CachedWarmStart>& w) {
-  if (!w) return 0;
-  return (w->u.size() + w->v.size()) * sizeof(double);
-}
-
 }  // namespace
 
 SolveCacheKey MakeSolveCacheKey(uint64_t cost_fingerprint, size_t rows,
@@ -74,11 +69,8 @@ SolveCacheStats DeltaStats(const SolveCacheStats& before,
   SolveCacheStats d = after;
   d.kernel_hits -= before.kernel_hits;
   d.kernel_misses -= before.kernel_misses;
-  d.warm_hits -= before.warm_hits;
-  d.warm_misses -= before.warm_misses;
   d.insertions -= before.insertions;
   d.evictions -= before.evictions;
-  d.warm_iterations_saved -= before.warm_iterations_saved;
   d.table_hits -= before.table_hits;
   d.table_misses -= before.table_misses;
   // entries / bytes_cached / bytes_pinned are gauges: keep `after`.
@@ -87,12 +79,6 @@ SolveCacheStats DeltaStats(const SolveCacheStats& before,
 
 void SolveCache::Touch(Lru::iterator it) {
   lru_.splice(lru_.begin(), lru_, it);
-}
-
-void SolveCache::Recharge(Lru::iterator it) {
-  bytes_cached_ -= it->bytes;
-  it->bytes = it->kernel.MemoryBytes() + WarmBytes(it->warm);
-  bytes_cached_ += it->bytes;
 }
 
 void SolveCache::EnforceBudget() {
@@ -108,22 +94,11 @@ void SolveCache::EnforceBudget() {
   }
 }
 
-SolveCache::Lru::iterator SolveCache::FindOrCreate(const SolveCacheKey& key) {
-  auto found = index_.find(key);
-  if (found != index_.end()) {
-    Touch(found->second);
-    return found->second;
-  }
-  lru_.push_front(Entry{key, {}, std::nullopt, 0});
-  index_.emplace(key, lru_.begin());
-  return lru_.begin();
-}
-
 std::optional<CachedKernel> SolveCache::FindKernel(const SolveCacheKey& key) {
   if (!key.valid()) return std::nullopt;
   MutexLock lock(mu_);
   auto found = index_.find(key);
-  if (found == index_.end() || found->second->kernel.empty()) {
+  if (found == index_.end()) {
     ++counters_.kernel_misses;
     return std::nullopt;
   }
@@ -135,58 +110,30 @@ std::optional<CachedKernel> SolveCache::FindKernel(const SolveCacheKey& key) {
 CachedKernel SolveCache::InsertKernel(const SolveCacheKey& key,
                                       CachedKernel kernel) {
   if (!key.valid() || kernel.empty()) return kernel;
-  // FaultSite::kCacheInsert: the insert fails before FindOrCreate so no
-  // entry — not even an empty shell — is created; the caller keeps its
-  // private kernel and the request degrades to uncached, never corrupt.
+  // FaultSite::kCacheInsert: the insert fails before any entry is
+  // created; the caller keeps its private kernel and the request degrades
+  // to uncached, never corrupt.
   if (fault_injector_ != nullptr &&
       fault_injector_->ShouldFire(FaultSite::kCacheInsert)) {
     return kernel;
   }
   MutexLock lock(mu_);
-  auto it = FindOrCreate(key);
-  if (!it->kernel.empty()) return it->kernel;  // lost the race: share theirs
-  it->kernel = std::move(kernel);
+  auto found = index_.find(key);
+  if (found != index_.end()) {  // lost the race: share theirs
+    Touch(found->second);
+    return found->second->kernel;
+  }
+  const size_t bytes = kernel.MemoryBytes();
+  lru_.push_front(Entry{key, std::move(kernel), bytes});
+  index_.emplace(key, lru_.begin());
+  bytes_cached_ += bytes;
   ++counters_.insertions;
-  Recharge(it);
   // Copy the handle out *before* enforcing the budget: the copy pins the
   // fresh entry (the caller is about to solve on it), and keeps the return
   // safe even if eviction removes the entry itself.
-  CachedKernel resident = it->kernel;
+  CachedKernel resident = lru_.front().kernel;
   EnforceBudget();
   return resident;
-}
-
-std::optional<CachedWarmStart> SolveCache::FindWarmStart(
-    const SolveCacheKey& key) {
-  if (!key.valid()) return std::nullopt;
-  MutexLock lock(mu_);
-  auto found = index_.find(key);
-  if (found == index_.end() || !found->second->warm) {
-    ++counters_.warm_misses;
-    return std::nullopt;
-  }
-  ++counters_.warm_hits;
-  Touch(found->second);
-  return found->second->warm;
-}
-
-void SolveCache::StoreWarmStart(const SolveCacheKey& key,
-                                const linalg::Vector& u,
-                                const linalg::Vector& v,
-                                size_t solve_iterations) {
-  if (!key.valid()) return;
-  MutexLock lock(mu_);
-  auto it = FindOrCreate(key);
-  const size_t baseline =
-      it->warm ? it->warm->cold_iterations : solve_iterations;
-  it->warm = CachedWarmStart{u, v, baseline};
-  Recharge(it);
-  EnforceBudget();
-}
-
-void SolveCache::RecordWarmSavings(size_t iterations) {
-  MutexLock lock(mu_);
-  counters_.warm_iterations_saved += iterations;
 }
 
 void SolveCache::RecordTableLookup(bool hit) {

@@ -13,7 +13,6 @@
 #include "linalg/matrix.h"
 #include "linalg/precision.h"
 #include "linalg/transport_kernel.h"
-#include "linalg/vector.h"
 
 namespace otclean::core {
 
@@ -97,34 +96,19 @@ struct CachedKernel {
   bool InUse() const;
 };
 
-/// Converged potentials persisted per key (linear domain; the log path
-/// lifts them via log — the existing warm_u/warm_v plumbing).
-/// `cold_iterations` is the iteration count of the *first* (cold) solve
-/// under this key, kept as the baseline that later warm-started solves are
-/// measured against.
-struct CachedWarmStart {
-  linalg::Vector u;
-  linalg::Vector v;
-  size_t cold_iterations = 0;
-};
-
 /// Counters (monotonic) and gauges for a cache. `bytes_pinned` is the
-/// portion of `bytes_cached` currently in use by running solves;
-/// `warm_iterations_saved` accumulates max(0, cold baseline − warm run)
-/// as reported by callers via RecordWarmSavings. `table_*` fold in the
-/// CLI batch table cache (a lookup cache that predates this one) so
-/// `--report` has one place for all cross-request reuse.
+/// portion of `bytes_cached` currently in use by running solves.
+/// `table_*` fold in the CLI batch table cache (a lookup cache that
+/// predates this one) so `--report` has one place for all cross-request
+/// reuse.
 struct SolveCacheStats {
   size_t kernel_hits = 0;
   size_t kernel_misses = 0;
-  size_t warm_hits = 0;
-  size_t warm_misses = 0;
   size_t insertions = 0;
   size_t evictions = 0;
   size_t entries = 0;       ///< gauge
   size_t bytes_cached = 0;  ///< gauge
   size_t bytes_pinned = 0;  ///< gauge
-  size_t warm_iterations_saved = 0;
   size_t table_hits = 0;
   size_t table_misses = 0;
 };
@@ -136,10 +120,8 @@ SolveCacheStats DeltaStats(const SolveCacheStats& before,
                            const SolveCacheStats& after);
 
 /// Process-wide, thread-safe, memory-budgeted LRU over solve artifacts —
-/// the cross-request complement of the paper's Section-5 warm starts.
-/// Two tiers of reuse per key: shared immutable kernel storages
-/// (CachedKernel) and converged potentials (CachedWarmStart); both live in
-/// one LRU entry so they age together.
+/// shared immutable kernel storages (CachedKernel), one entry per key, so
+/// repeat requests skip the kernel build.
 ///
 /// All RAM held here is evictable cache (kivaloo's design rule): a strict
 /// LRU walk drops entries until the byte budget holds, skipping only
@@ -162,9 +144,9 @@ class SolveCache {
   SolveCache(const SolveCache&) = delete;
   SolveCache& operator=(const SolveCache&) = delete;
 
-  /// Kernel tier. FindKernel returns the shared storages on a hit
-  /// (bumping the entry to most-recently-used) and counts a miss
-  /// otherwise; invalid keys are silent misses that touch no counter.
+  /// FindKernel returns the shared storages on a hit (bumping the entry
+  /// to most-recently-used) and counts a miss otherwise; invalid keys are
+  /// silent misses that touch no counter.
   std::optional<CachedKernel> FindKernel(const SolveCacheKey& key)
       OTCLEAN_EXCLUDES(mu_);
 
@@ -174,22 +156,6 @@ class SolveCache {
   /// either way. Returns `kernel` unchanged for invalid keys.
   CachedKernel InsertKernel(const SolveCacheKey& key, CachedKernel kernel)
       OTCLEAN_EXCLUDES(mu_);
-
-  /// Warm-start tier: potentials from the last converged solve under this
-  /// key, or nullopt (counted as a warm miss) when none are stored.
-  std::optional<CachedWarmStart> FindWarmStart(const SolveCacheKey& key)
-      OTCLEAN_EXCLUDES(mu_);
-
-  /// Persists converged potentials. The first store under a key also
-  /// records `solve_iterations` as the cold baseline; later stores refresh
-  /// the potentials but keep the baseline, so savings are always measured
-  /// against the original cold start.
-  void StoreWarmStart(const SolveCacheKey& key, const linalg::Vector& u,
-                      const linalg::Vector& v, size_t solve_iterations)
-      OTCLEAN_EXCLUDES(mu_);
-
-  /// Caller-reported iteration savings of a warm-started solve.
-  void RecordWarmSavings(size_t iterations) OTCLEAN_EXCLUDES(mu_);
 
   /// Folds a CLI table-cache lookup into the stats.
   void RecordTableLookup(bool hit) OTCLEAN_EXCLUDES(mu_);
@@ -217,7 +183,6 @@ class SolveCache {
   struct Entry {
     SolveCacheKey key;
     CachedKernel kernel;
-    std::optional<CachedWarmStart> warm;
     size_t bytes = 0;
   };
   struct KeyHash {
@@ -229,12 +194,9 @@ class SolveCache {
 
   /// Moves the entry to the LRU front.
   void Touch(Lru::iterator it) OTCLEAN_REQUIRES(mu_);
-  /// Recomputes an entry's byte charge after mutation.
-  void Recharge(Lru::iterator it) OTCLEAN_REQUIRES(mu_);
   /// Evicts from the LRU tail (skipping pinned entries) until the budget
   /// holds.
   void EnforceBudget() OTCLEAN_REQUIRES(mu_);
-  Lru::iterator FindOrCreate(const SolveCacheKey& key) OTCLEAN_REQUIRES(mu_);
 
   const size_t byte_budget_;
 

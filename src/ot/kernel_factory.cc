@@ -1,10 +1,8 @@
 #include "ot/kernel_factory.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <string>
 #include <utility>
 
 namespace otclean::ot {
@@ -31,36 +29,6 @@ void ClampScaling(linalg::Vector& s) {
       s[i] = kMax;
     }
   }
-}
-
-/// Potential carry-over between annealing stages: u ≈ e^{f/ε} for a dual
-/// potential f that varies slowly with ε, so the stage-(k+1) start is
-/// u^{ε_k/ε_{k+1}}. Zeros ("no mass") stay zero; the exponent exceeds 1
-/// (ε shrinks), so clamp the blow-up exactly as the engine loop would.
-void RescalePotentials(linalg::Vector& s, double ratio) {
-  for (size_t i = 0; i < s.size(); ++i) {
-    s[i] = s[i] > 0.0 ? std::pow(s[i], ratio) : 0.0;
-  }
-  ClampScaling(s);
-}
-
-/// Generous upper bound on annealing stages — a schedule whose geometric
-/// decay needs more than this many stages to reach the final ε (decay
-/// pathologically close to 1, or an absurd initial/final ratio) is a
-/// configuration error, not a workload.
-constexpr size_t kMaxAnnealStages = 64;
-
-/// The warm-store entry under `key` when the store is on and the stored
-/// sizes fit the problem; a mismatch falls back to the next seed.
-std::optional<core::CachedWarmStart> FetchStored(
-    core::SolveCache* store, const core::SolveCacheKey& key) {
-  if (store == nullptr) return std::nullopt;
-  std::optional<core::CachedWarmStart> stored = store->FindWarmStart(key);
-  if (!stored || stored->u.size() != key.rows ||
-      stored->v.size() != key.cols) {
-    return std::nullopt;
-  }
-  return stored;
 }
 
 template <typename K>
@@ -176,7 +144,6 @@ KernelBuild MakeKernel(const linalg::CostProvider& cost,
                                            cache, key);
 }
 
-
 Status CheckKernelSupport(const AnyKernel& kernel, const linalg::Vector& p,
                           const linalg::Vector* q, const char* where) {
   return std::visit(
@@ -227,131 +194,6 @@ linalg::Vector ExpPotentials(const linalg::Vector& log_potentials) {
   }
   ClampScaling(out);
   return out;
-}
-
-Status ValidateSchedule(const char* where, const SinkhornOptions& options) {
-  const EpsilonSchedule& s = options.epsilon_schedule;
-  if (!s.enabled()) return Status::OK();
-  if (!(s.initial_epsilon > options.epsilon)) {
-    return Status::InvalidArgument(
-        std::string(where) + ": epsilon_schedule.initial_epsilon (" +
-        std::to_string(s.initial_epsilon) +
-        ") must exceed the final epsilon (" + std::to_string(options.epsilon) +
-        ") — annealing runs from easy (large ε) to sharp (small ε)");
-  }
-  if (!(s.decay > 0.0 && s.decay < 1.0)) {
-    return Status::InvalidArgument(
-        std::string(where) + ": epsilon_schedule.decay = " +
-        std::to_string(s.decay) + " must lie in (0, 1)");
-  }
-  if (!(s.stage_tolerance > 0.0)) {
-    return Status::InvalidArgument(
-        std::string(where) + ": epsilon_schedule.stage_tolerance must be > 0");
-  }
-  if (s.stage_max_iterations == 0) {
-    return Status::InvalidArgument(
-        std::string(where) +
-        ": epsilon_schedule.stage_max_iterations must be positive");
-  }
-  size_t stages = 0;
-  for (double e = s.initial_epsilon; e > options.epsilon;
-       e = std::max(options.epsilon, e * s.decay)) {
-    if (++stages > kMaxAnnealStages) {
-      return Status::InvalidArgument(
-          std::string(where) + ": epsilon_schedule would run more than " +
-          std::to_string(kMaxAnnealStages) +
-          " stages — use a smaller decay or initial_epsilon");
-    }
-  }
-  return Status::OK();
-}
-
-size_t SolveSeed::Finish(const linalg::Vector& u_final,
-                         const linalg::Vector& v_final, size_t iterations,
-                         bool converged) const {
-  if (store == nullptr || !converged) return 0;
-  store->StoreWarmStart(key, log_domain ? ExpPotentials(u_final) : u_final,
-                        log_domain ? ExpPotentials(v_final) : v_final,
-                        iterations);
-  if (!from_store || cold_iterations <= iterations) return 0;
-  store->RecordWarmSavings(cold_iterations - iterations);
-  return cold_iterations - iterations;
-}
-
-Result<SolveSeed> SeedSolve(const linalg::CostProvider& cost,
-                            const linalg::Vector& p, const linalg::Vector& q,
-                            const SinkhornOptions& options,
-                            const KernelSpec& spec,
-                            const linalg::Vector* warm_u,
-                            const linalg::Vector* warm_v, const char* where) {
-  SolveSeed seed;
-  seed.key = KernelCacheKey(options.cache_cost_fingerprint, cost.rows(),
-                            cost.cols(), spec);
-  seed.log_domain = spec.log_domain;
-  if (options.solve_cache != nullptr && seed.key.valid() &&
-      options.cache_warm_start) {
-    seed.store = options.solve_cache;
-  }
-  // Linear scalings until the end, where the log paths lift them once.
-  std::optional<linalg::Vector> u, v;
-  if (warm_u != nullptr || warm_v != nullptr) {
-    if (warm_u != nullptr) u = *warm_u;
-    if (warm_v != nullptr) v = *warm_v;
-  } else if (std::optional<core::CachedWarmStart> stored =
-                 FetchStored(seed.store, seed.key)) {
-    u = std::move(stored->u);
-    v = std::move(stored->v);
-    seed.from_store = true;
-    seed.cold_iterations = stored->cold_iterations;
-  } else if (options.epsilon_schedule.enabled()) {
-    OTCLEAN_RETURN_NOT_OK(ValidateSchedule(where, options));
-    const EpsilonSchedule& sched = options.epsilon_schedule;
-    u = linalg::Vector::Ones(cost.rows());
-    v = linalg::Vector::Ones(cost.cols());
-    // A dense linear stage on a function-backed provider runs on a
-    // cutoff-0 CSR kernel (same support, streamed build) so no stage
-    // materializes the cost matrix.
-    KernelSpec stage = spec;
-    stage.sparse =
-        spec.sparse || (!spec.log_domain && cost.AsMatrix() == nullptr);
-    stage.cutoff = spec.sparse ? spec.cutoff : 0.0;
-    stage.gather_support_costs = false;
-    SinkhornOptions stage_options = options;
-    stage_options.tolerance = sched.stage_tolerance;
-    stage_options.max_iterations = sched.stage_max_iterations;
-    for (double eps = sched.initial_epsilon; eps > options.epsilon;) {
-      OTCLEAN_RETURN_NOT_OK(
-          CheckStop(options.cancel_token, options.deadline, where));
-      stage.epsilon = stage_options.epsilon = eps;
-      const KernelBuild build = MakeKernel(
-          cost, stage, options.solve_cache,
-          KernelCacheKey(options.cache_cost_fingerprint, cost.rows(),
-                         cost.cols(), stage));
-      // Stages only move potentials: no plan, no cost, no support check,
-      // and never the warm-start store — stage potentials are half-baked.
-      if (stage.log_domain) {
-        *u = LogPotentials(*u);
-        *v = LogPotentials(*v);
-      }
-      OTCLEAN_ASSIGN_OR_RETURN(
-          SinkhornScaling s,
-          RunEngine(build.kernel, p, q, stage_options, &*u, &*v));
-      *u = stage.log_domain ? ExpPotentials(s.u) : std::move(s.u);
-      *v = stage.log_domain ? ExpPotentials(s.v) : std::move(s.v);
-      seed.anneal_stages.push_back({eps, s.iterations, s.converged});
-      const double next = std::max(options.epsilon, eps * sched.decay);
-      RescalePotentials(*u, eps / next);
-      RescalePotentials(*v, eps / next);
-      eps = next;
-    }
-  }
-  if (spec.log_domain) {
-    if (u) u = LogPotentials(*u);
-    if (v) v = LogPotentials(*v);
-  }
-  seed.u = std::move(u);
-  seed.v = std::move(v);
-  return seed;
 }
 
 }  // namespace otclean::ot

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <type_traits>
 #include <variant>
 #include <vector>
@@ -109,55 +108,6 @@ Result<SinkhornScaling> RunEngine(const AnyKernel& kernel,
 /// marks "no mass"; ExpPotentials clamps as the linear engine loop does.
 linalg::Vector LogPotentials(const linalg::Vector& scalings);
 linalg::Vector ExpPotentials(const linalg::Vector& log_potentials);
-
-/// Loud validation of `options.epsilon_schedule` against the final ε.
-Status ValidateSchedule(const char* where, const SinkhornOptions& options);
-
-/// How one solve on the kernel `spec` describes is seeded, plus its
-/// session with the cross-request warm-start store. The rule, in order:
-/// the caller's explicit warm start; else the potentials stored under the
-/// kernel's cache key (`options.cache_warm_start`); else the non-final
-/// stages of `options.epsilon_schedule`; else cold. Potentials are in the
-/// kernel's own domain (log-potentials when `spec.log_domain`).
-struct SolveSeed {
-  std::optional<linalg::Vector> u;
-  std::optional<linalg::Vector> v;
-  /// Records of the annealing stages that ran (empty unless annealed).
-  std::vector<EpsilonAnnealStage> anneal_stages;
-  /// The seed came from the warm-start store.
-  bool from_store = false;
-
-  const linalg::Vector* warm_u() const { return u ? &*u : nullptr; }
-  const linalg::Vector* warm_v() const { return v ? &*v : nullptr; }
-
-  /// Store side: persists converged potentials (kernel domain; stored
-  /// linear) under the kernel's key and credits the iterations saved
-  /// against the fetched seed's cold baseline. Diverged runs store
-  /// nothing — their potentials would poison later warm starts. Returns
-  /// the iterations saved (0 when not seeded from the store).
-  size_t Finish(const linalg::Vector& u_final, const linalg::Vector& v_final,
-                size_t iterations, bool converged) const;
-
-  core::SolveCache* store = nullptr;  ///< null: the store is off
-  core::SolveCacheKey key;
-  bool log_domain = false;
-  size_t cold_iterations = 0;  ///< the fetched entry's cold baseline
-};
-
-/// Seeds a solve (see SolveSeed). Explicit `warm_u`/`warm_v` are linear
-/// scalings, either may be null. Annealing stages build their kernels at
-/// each stage ε through MakeKernel — same domain and precision as `spec`,
-/// cached under per-ε keys — and run the engine at the schedule's loose
-/// stage tolerance and iteration cap, rescaling u ↦ u^{ε_k/ε_{k+1}}
-/// between stages. A sparse stage keeps a superset of the final kernel's
-/// entries (larger ε keeps more), so the final solve's support check
-/// governs.
-Result<SolveSeed> SeedSolve(const linalg::CostProvider& cost,
-                            const linalg::Vector& p, const linalg::Vector& q,
-                            const SinkhornOptions& options,
-                            const KernelSpec& spec,
-                            const linalg::Vector* warm_u,
-                            const linalg::Vector* warm_v, const char* where);
 
 }  // namespace otclean::ot
 

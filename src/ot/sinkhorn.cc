@@ -155,7 +155,6 @@ Status ValidateInputs(const char* where, const linalg::CostProvider& cost,
         std::to_string(options.tolerance) +
         " can never be reached (it must be a positive number)");
   }
-  if (Status s = ValidateSchedule(where, options); !s.ok()) return s;
   if (Status s = ValidateMarginals(where, p, q); !s.ok()) return s;
   return ValidateFiniteCosts(where, cost);
 }
@@ -256,9 +255,10 @@ void MaterializePlan(const K& kernel, const SinkhornScaling& s,
 }
 
 /// The shared body of RunSinkhorn and RunSinkhornSparse once inputs are
-/// validated: the seed (warm store, ε-annealing), the (cache-aware)
-/// kernel, the engine loop, then π and ⟨C, π⟩ at the converged potentials.
-/// `Out` picks the plan storage — a dense plan for SinkhornResult, CSR for
+/// validated: the (cache-aware) kernel, the engine loop seeded by the
+/// caller's warm start (lifted to log-potentials for a log kernel) or
+/// cold, then π and ⟨C, π⟩ at the converged potentials. `Out` picks the
+/// plan storage — a dense plan for SinkhornResult, CSR for
 /// SparseSinkhornResult.
 template <typename Out>
 Result<Out> SolveOnKernel(const linalg::CostProvider& cost,
@@ -266,11 +266,10 @@ Result<Out> SolveOnKernel(const linalg::CostProvider& cost,
                           const SinkhornOptions& options,
                           const KernelSpec& spec, const linalg::Vector* warm_u,
                           const linalg::Vector* warm_v, const char* where) {
-  OTCLEAN_ASSIGN_OR_RETURN(
-      SolveSeed seed,
-      SeedSolve(cost, p, q, options, spec, warm_u, warm_v, where));
-  const KernelBuild build =
-      MakeKernel(cost, spec, options.solve_cache, seed.key);
+  const KernelBuild build = MakeKernel(
+      cost, spec, options.solve_cache,
+      KernelCacheKey(options.cache_cost_fingerprint, cost.rows(), cost.cols(),
+                     spec));
   // Hard-marginal mode must reach every row and column carrying mass.
   // Relaxed mode only soft-matches the target marginal, so an unreachable
   // column legitimately ends up under-served — check rows only (stranded
@@ -278,9 +277,15 @@ Result<Out> SolveOnKernel(const linalg::CostProvider& cost,
   // Support depends on p/q, not just the kernel — re-checked on hits.
   OTCLEAN_RETURN_NOT_OK(CheckKernelSupport(
       build.kernel, p, options.relaxed ? nullptr : &q, where));
+  // A log kernel iterates log-potentials: lift the linear warm start.
+  std::optional<linalg::Vector> log_u, log_v;
+  if (spec.log_domain) {
+    if (warm_u != nullptr) warm_u = &log_u.emplace(LogPotentials(*warm_u));
+    if (warm_v != nullptr) warm_v = &log_v.emplace(LogPotentials(*warm_v));
+  }
   OTCLEAN_ASSIGN_OR_RETURN(
       SinkhornScaling s,
-      RunEngine(build.kernel, p, q, options, seed.warm_u(), seed.warm_v()));
+      RunEngine(build.kernel, p, q, options, warm_u, warm_v));
   Out result;
   std::visit(
       [&](const auto& kernel) {
@@ -288,12 +293,10 @@ Result<Out> SolveOnKernel(const linalg::CostProvider& cost,
         result.transport_cost = kernel.TransportCost(cost, s.u, s.v);
       },
       build.kernel);
-  seed.Finish(s.u, s.v, s.iterations, s.converged);
   result.u = spec.log_domain ? ExpPotentials(s.u) : std::move(s.u);
   result.v = spec.log_domain ? ExpPotentials(s.v) : std::move(s.v);
   result.iterations = s.iterations;
   result.converged = s.converged;
-  result.anneal_stages = std::move(seed.anneal_stages);
   return result;
 }
 

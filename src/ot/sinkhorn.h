@@ -2,7 +2,6 @@
 #define OTCLEAN_OT_SINKHORN_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "common/cancellation.h"
 #include "common/result.h"
@@ -21,39 +20,6 @@ namespace otclean::ot {
 
 /// Parameters for entropic / relaxed optimal transport.
 ///
-/// ε-annealing schedule: solve a short sequence of EASIER problems (larger
-/// ε — smoother kernels, geometric convergence rate ~1 − O(ε) per
-/// iteration) and carry each stage's potentials into the next as a warm
-/// start, instead of grinding the full iteration budget at the sharp final
-/// ε from a cold start. Stage ε_k runs ε_0 = initial_epsilon,
-/// ε_{k+1} = max(final, ε_k · decay) down to — but not including — the
-/// final `SinkhornOptions::epsilon`, which the normal solve then finishes
-/// at full tolerance. Between stages the linear-domain potentials rescale
-/// as u ↦ u^{ε_k/ε_{k+1}} (u ≈ e^{f/ε} for a dual potential f that varies
-/// slowly with ε; zeros stay zero). Stages solve to a LOOSE tolerance with
-/// a SMALL iteration cap — they only need to be warm, not converged.
-struct EpsilonSchedule {
-  /// First-stage ε. 0 (default) disables annealing; when set it must
-  /// exceed the final `SinkhornOptions::epsilon` (validated loudly).
-  double initial_epsilon = 0.0;
-  /// Geometric stage factor, in (0, 1): ε_{k+1} = ε_k · decay.
-  double decay = 0.5;
-  /// Per-stage convergence threshold (loose on purpose).
-  double stage_tolerance = 1e-4;
-  /// Per-stage iteration cap (small on purpose).
-  size_t stage_max_iterations = 500;
-
-  bool enabled() const { return initial_epsilon > 0.0; }
-};
-
-/// Convergence record of one annealing stage (surfaced in results and
-/// the CLI `--report`).
-struct EpsilonAnnealStage {
-  double epsilon = 0.0;
-  size_t iterations = 0;
-  bool converged = false;
-};
-
 /// Convention: we minimize  ⟨C, π⟩ − ε·H(π) (+ λ·KL marginal penalties in
 /// relaxed mode). The paper writes the entropic weight as 1/ρ and the kernel
 /// as K = e^{−C/ρ}; our `epsilon` is the paper's ρ in that kernel formula
@@ -119,20 +85,6 @@ struct SinkhornOptions {
   /// fingerprint must cover everything the cost *values* depend on, or
   /// different costs alias one kernel.
   uint64_t cache_cost_fingerprint = 0;
-  /// Also fetch/store converged potentials under the same cache key —
-  /// the paper's Section-5 warm start applied *across* solves. Off by
-  /// default and deliberately opt-in: a warm-started run converges to
-  /// the same tolerance but is not bit-identical to a cold one, and
-  /// which solve seeds the store depends on arrival order. Explicit
-  /// warm_u/warm_v arguments always take precedence over the store;
-  /// stored potentials whose sizes mismatch fall back to a cold start.
-  bool cache_warm_start = false;
-  /// ε-annealing schedule (see EpsilonSchedule). Honored by RunSinkhorn /
-  /// RunSinkhornSparse when no explicit warm_u/warm_v are passed and the
-  /// warm store has nothing better: the non-final stages run first and
-  /// seed the final solve (ot::SeedSolve, ot/kernel_factory.h). Explicit
-  /// warm starts and warm-store hits win — they are already warm.
-  EpsilonSchedule epsilon_schedule;
   /// Storage precision of the Gibbs kernel the solve iterates on.
   /// kFloat32 halves kernel memory traffic — the cost-per-iteration
   /// bottleneck on large domains — while every reduction still
@@ -144,14 +96,14 @@ struct SinkhornOptions {
   /// ≤ 2⁻²⁴). Support costs and all outputs stay double.
   linalg::Precision precision = linalg::Precision::kFloat64;
   /// Optional cooperative cancellation (common/cancellation.h; borrowed,
-  /// must outlive the solve). Checked once per engine-loop iteration, per
-  /// ε-annealing stage, and — through the ThreadPool stop flag — between
+  /// must outlive the solve). Checked once per engine-loop iteration and —
+  /// through the ThreadPool stop flag — between
   /// chunk executions of pooled kernel dispatches, so a fired token drains
   /// even a large dispatch promptly. A firing aborts the solve with
   /// kCancelled; checks never alter what an unaborted solve computes.
   const CancellationToken* cancel_token = nullptr;
-  /// Optional monotonic wall deadline, polled at the same iteration /
-  /// stage granularity; expiry aborts with kDeadlineExceeded. Infinite by
+  /// Optional monotonic wall deadline, polled at the same iteration
+  /// granularity; expiry aborts with kDeadlineExceeded. Infinite by
   /// default. Compose caller and scheduler budgets with Deadline::Earliest.
   Deadline deadline;
 };
@@ -161,11 +113,9 @@ struct SinkhornResult {
   linalg::Matrix plan;  ///< π = diag(u)·K·diag(v).
   linalg::Vector u;     ///< row scaling (exposable for warm starts).
   linalg::Vector v;     ///< column scaling.
-  size_t iterations = 0;  ///< final-ε iterations (annealing stages excluded)
+  size_t iterations = 0;
   bool converged = false;
   double transport_cost = 0.0;  ///< ⟨C, π⟩.
-  /// Per-stage records when an EpsilonSchedule ran; empty otherwise.
-  std::vector<EpsilonAnnealStage> anneal_stages;
 };
 
 /// Scaling vectors + convergence stats of a run of the shared engine loop,
@@ -246,11 +196,9 @@ struct SparseSinkhornResult {
   linalg::SparseMatrix plan;
   linalg::Vector u;
   linalg::Vector v;
-  size_t iterations = 0;  ///< final-ε iterations (annealing stages excluded)
+  size_t iterations = 0;
   bool converged = false;
   double transport_cost = 0.0;
-  /// Per-stage records when an EpsilonSchedule ran; empty otherwise.
-  std::vector<EpsilonAnnealStage> anneal_stages;
 };
 
 /// Sinkhorn on a *truncated* Gibbs kernel: entries of K = e^{−C/ε} below

@@ -5,8 +5,7 @@
 // transport cost. Any change to the kernel code that alters a single
 // rounding in any tier fails here. The FastOTClean outer loop is pinned
 // the same way on its other paths: a two-constraint FastOtCleanMulti
-// repair, the iterative-NMF projection, and a repeat repair seeded from
-// the solve cache's warm-start store.
+// repair and the iterative-NMF projection.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 
 #include "common/random.h"
 #include "core/fast_otclean.h"
-#include "core/solve_cache.h"
 #include "linalg/matrix.h"
 #include "linalg/precision.h"
 #include "linalg/simd.h"
@@ -122,11 +120,8 @@ Golden SinkhornGolden(const Tier& tier) {
   opts.num_threads = 1;
   opts.log_domain = tier.log_domain;
   opts.precision = tier.precision;
-  opts.epsilon_schedule.initial_epsilon = 0.2;
-  opts.epsilon_schedule.stage_max_iterations = 40;
   BitHash h;
   size_t iterations = 0;
-  std::vector<ot::EpsilonAnnealStage> stages;
   if (tier.sparse) {
     const auto r = ot::RunSinkhornSparse(cost, p, q, opts, 1e-4).value();
     h.Add(r.u);
@@ -134,7 +129,6 @@ Golden SinkhornGolden(const Tier& tier) {
     h.Add(r.plan.values());
     h.Add(r.transport_cost);
     iterations = r.iterations;
-    stages = r.anneal_stages;
   } else {
     const auto r = ot::RunSinkhorn(cost, p, q, opts).value();
     h.Add(r.u);
@@ -142,11 +136,6 @@ Golden SinkhornGolden(const Tier& tier) {
     h.Add(r.plan.data());
     h.Add(r.transport_cost);
     iterations = r.iterations;
-    stages = r.anneal_stages;
-  }
-  for (const ot::EpsilonAnnealStage& s : stages) {
-    h.Add(s.epsilon);
-    h.Add(static_cast<double>(s.iterations));
   }
   return {iterations, h.value()};
 }
@@ -170,8 +159,6 @@ core::FastOtCleanOptions FixedFastOptions(const Tier& tier) {
   opts.kernel_truncation = tier.sparse ? 1e-25 : 0.0;
   opts.log_domain = tier.log_domain;
   opts.precision = tier.precision;
-  opts.epsilon_schedule.initial_epsilon = 0.4;
-  opts.epsilon_schedule.stage_max_iterations = 30;
   return opts;
 }
 
@@ -184,9 +171,6 @@ Golden HashRepair(const core::FastOtCleanResult& r) {
   h.Add(r.target_cmi);
   h.Add(r.objective_trace);
   h.Add(static_cast<double>(r.outer_iterations));
-  for (const ot::EpsilonAnnealStage& s : r.anneal_stages) {
-    h.Add(static_cast<double>(s.iterations));
-  }
   return {r.total_sinkhorn_iterations, h.value()};
 }
 
@@ -227,59 +211,26 @@ Golden IterativeNmfGolden(const Tier& tier) {
       core::FastOtClean(data, ci, cost, opts, solve_rng).value());
 }
 
-/// The second of two identical repairs under one SolveCache with the
-/// warm-start store on: it is seeded from the first run's converged
-/// potentials (so it skips ε-annealing) and credits the saved iterations.
-Golden CacheWarmGolden(const Tier& tier) {
-  const prob::JointDistribution data =
-      FixedData(prob::Domain::FromCardinalities({3, 2, 4}));
-  const prob::CiSpec ci{{0}, {1}, {2}};
-  const ot::EuclideanCost cost(3);
-  core::SolveCache cache;
-  core::FastOtCleanOptions opts = FixedFastOptions(tier);
-  opts.max_outer_iterations = 80;
-  opts.outer_tolerance = 1e-7;
-  opts.solve_cache = &cache;
-  opts.cache_warm_start = true;
-  opts.max_sinkhorn_iterations = 3000;
-  Rng first_rng(19);
-  const auto first = core::FastOtClean(data, ci, cost, opts, first_rng).value();
-  EXPECT_TRUE(first.converged) << tier.name;
-  EXPECT_FALSE(first.cache_warm_started) << tier.name;
-  Rng second_rng(19);
-  const auto r = core::FastOtClean(data, ci, cost, opts, second_rng).value();
-  EXPECT_TRUE(r.cache_warm_started) << tier.name;
-  EXPECT_GT(r.cache_warm_iterations_saved, 0u) << tier.name;
-  const Golden g = HashRepair(r);
-  BitHash h;
-  h.Add(static_cast<double>(g.bits));
-  h.Add(static_cast<double>(r.cache_warm_iterations_saved));
-  return {g.iterations, h.value()};
-}
-
 // Recorded on the scalar tier; one entry per kTiers row, same order.
 constexpr Golden kSinkhornGolden[] = {
-    {312, 0x9dc371b22d8067ebull}, {232, 0x7e5cb2e61a44b77full},
-    {325, 0x8615c08166d224dfull}, {244, 0x19253af1555a2c47ull},
-    {310, 0x5d6a577e0b2d98b9ull}, {232, 0xa8325be834eb998bull},
-    {329, 0x2db1be7279990a9eull}, {244, 0x8d2764a5b70b9cb6ull},
+    {343, 0xcfedac8dfe85cf8full}, {276, 0xcb08201ffd36330eull},
+    {357, 0x57c06b5077fa2a90ull}, {287, 0xc70ca425cf2044deull},
+    {342, 0x95223e11724c4cd8ull}, {276, 0xb3b6c0281e1eff6dull},
+    {356, 0x61f0adc53e8e9397ull}, {287, 0xbfab81d5580d0289ull},
 };
 constexpr Golden kFastOtCleanGolden[] = {
-    {3577, 0x298b9452d80e8c22ull}, {2788, 0xe498c44f618a73d1ull},
-    {3577, 0x51ffee110372038dull}, {2788, 0x738fd85b09eea663ull},
-    {3577, 0xfcde4241d73d7822ull}, {2788, 0x8b9eae34eb6dd132ull},
-    {3577, 0xa96b6f9b094043f0ull}, {2788, 0x886f4910b54a3edcull},
+    {3577, 0xe036fe9abc5c653bull}, {2799, 0xe238d7784ea5c0a7ull},
+    {3577, 0xeaa3af6ba6f69750ull}, {2799, 0xea9b105fa8f28b25ull},
+    {3577, 0x6dcef3f931fa22full}, {2799, 0x7bc8da77750f4183ull},
+    {3577, 0xe8995f139322b2ceull}, {2799, 0x7533016c7a94d7e4ull},
 };
 
 // The outer-loop paths, each on the dense f64 tiers: linear, then log.
 constexpr Tier kOuterLoopTiers[] = {kTiers[0], kTiers[1]};
 constexpr Golden kFastOtCleanMultiGolden[] = {
-    {3600, 0x39b1f770d6bde919ull}, {2580, 0x99b7ced35fe42284ull},
+    {3600, 0xe4e40c65ecbeb154ull}, {2590, 0x990aeef9d89468e9ull},
 };
-constexpr Golden kIterativeNmfGolden = {3577, 0xf04d5dc37e5c11b0ull};
-constexpr Golden kCacheWarmGolden[] = {
-    {16130, 0x8d13972adcdd01afull}, {9007, 0x34817d5d559200aeull},
-};
+constexpr Golden kIterativeNmfGolden = {3577, 0x98bd90bd4063e49full};
 
 void ExpectGolden(const Golden& got, const Golden& want, const char* name) {
   EXPECT_EQ(got.iterations, want.iterations) << name;
@@ -322,14 +273,6 @@ TEST(KernelGoldenTest, FastOtCleanIterativeNmfBitExact) {
   ScalarIsa scalar;
   ExpectGolden(IterativeNmfGolden(kTiers[0]), kIterativeNmfGolden,
                kTiers[0].name);
-}
-
-TEST(KernelGoldenTest, FastOtCleanCacheWarmStartBitExact) {
-  ScalarIsa scalar;
-  for (size_t t = 0; t < std::size(kOuterLoopTiers); ++t) {
-    ExpectGolden(CacheWarmGolden(kOuterLoopTiers[t]), kCacheWarmGolden[t],
-                 kOuterLoopTiers[t].name);
-  }
 }
 
 }  // namespace

@@ -165,6 +165,26 @@ TEST(RepairTest, CustomCostIsRespected) {
   EXPECT_LT(x_changes, table.num_rows() / 50);
 }
 
+TEST(RepairTest, TerminationReportsTheIterationCap) {
+  const auto table = MakeViolatingTable(300);
+  // Tolerances this problem reaches well inside the default budget.
+  RepairOptions opts;
+  opts.fast.epsilon = 0.2;
+  opts.fast.lambda = 10.0;
+  opts.fast.sinkhorn_tolerance = 1e-7;
+  opts.fast.outer_tolerance = 1e-3;
+  const auto converged = RepairTable(table, XyGivenZ(), opts).value();
+  EXPECT_TRUE(converged.converged);
+  EXPECT_STREQ(converged.termination, "ok");
+
+  // One outer step cannot meet the outer tolerance: the report must say
+  // the budget ran out rather than "ok".
+  opts.fast.max_outer_iterations = 1;
+  const auto capped = RepairTable(table, XyGivenZ(), opts).value();
+  EXPECT_FALSE(capped.converged);
+  EXPECT_STREQ(capped.termination, "iteration-cap");
+}
+
 TEST(RepairTest, UnknownConstraintColumnFails) {
   const auto table = MakeViolatingTable(100);
   const CiConstraint bad({"nope"}, {"y"}, {"z0"});

@@ -32,11 +32,9 @@ TEST(SolveCacheKeyTest, ZeroFingerprintYieldsInvalidKey) {
                      CachedKernel{std::make_shared<linalg::Matrix>(2, 2, 1.0),
                                   nullptr, nullptr, nullptr, nullptr,
                                   nullptr});
-  EXPECT_FALSE(cache.FindWarmStart(key).has_value());
   SolveCacheStats s = cache.Stats();
   EXPECT_EQ(s.kernel_hits, 0u);
   EXPECT_EQ(s.kernel_misses, 0u);
-  EXPECT_EQ(s.warm_misses, 0u);
   EXPECT_EQ(s.insertions, 0u);
   EXPECT_EQ(s.entries, 0u);
 }
@@ -147,20 +145,6 @@ TEST(SolveCacheLruTest, InsertRaceSharesTheResidentKernel) {
   EXPECT_EQ(first.dense.get(), second.dense.get());
   EXPECT_EQ(cache.Stats().insertions, 1u);
   EXPECT_EQ((*second.dense)(0, 0), 1.0);
-}
-
-TEST(SolveCacheLruTest, WarmStoreKeepsFirstColdBaseline) {
-  SolveCache cache;
-  const SolveCacheKey key = TestKey(9);
-  cache.StoreWarmStart(key, linalg::Vector::Ones(3), linalg::Vector::Ones(4),
-                       /*solve_iterations=*/120);
-  cache.StoreWarmStart(key, linalg::Vector::Ones(3), linalg::Vector::Ones(4),
-                       /*solve_iterations=*/5);  // warm rerun, much faster
-  std::optional<CachedWarmStart> warm = cache.FindWarmStart(key);
-  ASSERT_TRUE(warm.has_value());
-  EXPECT_EQ(warm->cold_iterations, 120u);  // baseline survives refreshes
-  EXPECT_EQ(warm->u.size(), 3u);
-  EXPECT_EQ(warm->v.size(), 4u);
 }
 
 TEST(SolveCacheStatsTest, DeltaSubtractsCountersKeepsGauges) {
@@ -370,41 +354,47 @@ TEST(SolveCacheSinkhornTest, DistinctEpsilonAndCutoffUseDistinctEntries) {
   EXPECT_EQ(s.entries, 2u);
 }
 
-TEST(SolveCacheSinkhornTest, WarmStartConvergesFasterAtEqualTolerance) {
-  const linalg::Matrix cost = TestCost(12, 12);
-  const linalg::Vector p = UniformMarginal(12), q = UniformMarginal(12);
+TEST(SolveCacheSinkhornTest, CutoffZeroCsrKernelNeverAliasesADenseSolve) {
+  // A cutoff-0 CSR kernel keeps every entry of the dense kernel of the same
+  // (cost, ε), but it is a different storage: its entry must be keyed as
+  // sparse, so a dense solve under the same fingerprint misses, builds and
+  // publishes its own dense kernel, and hits on the repeat — bit-identical
+  // to an uncached run.
+  const linalg::Matrix cost = TestCost(9, 7);
+  const linalg::Vector p = UniformMarginal(9), q = UniformMarginal(7);
 
   SolveCache cache;
   ot::SinkhornOptions opts;
-  opts.epsilon = 0.05;
-  opts.tolerance = 1e-10;
+  opts.epsilon = 0.08;
   opts.num_threads = 1;
   opts.solve_cache = &cache;
-  opts.cache_cost_fingerprint = 0xFEED;
-  opts.cache_warm_start = true;
+  opts.cache_cost_fingerprint = 0xC5A0;
 
-  Result<ot::SinkhornResult> cold = ot::RunSinkhorn(cost, p, q, opts);
-  ASSERT_TRUE(cold.ok());
-  ASSERT_TRUE(cold->converged);
-  ASSERT_GT(cold->iterations, 1u);
+  Result<ot::SparseSinkhornResult> csr =
+      ot::RunSinkhornSparse(cost, p, q, opts, /*kernel_cutoff=*/0.0);
+  ASSERT_TRUE(csr.ok()) << csr.status().message();
+  EXPECT_EQ(cache.Stats().kernel_misses, 1u);
 
-  Result<ot::SinkhornResult> warm = ot::RunSinkhorn(cost, p, q, opts);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(warm->converged);
-  EXPECT_LT(warm->iterations, cold->iterations);
-
-  // Same tolerance: marginals of the warm plan match p to the same order.
-  const linalg::Vector rows = warm->plan.RowSums();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_NEAR(rows[i], p[i], 1e-6);
-  }
-  EXPECT_NEAR(warm->transport_cost, cold->transport_cost,
-              1e-6 * (1.0 + std::abs(cold->transport_cost)));
-
+  Result<ot::SinkhornResult> miss = ot::RunSinkhorn(cost, p, q, opts);
+  ASSERT_TRUE(miss.ok()) << miss.status().message();
   SolveCacheStats s = cache.Stats();
-  EXPECT_EQ(s.warm_hits, 1u);
-  EXPECT_GE(s.warm_misses, 1u);  // the cold solve's lookup
-  EXPECT_EQ(s.warm_iterations_saved, cold->iterations - warm->iterations);
+  EXPECT_EQ(s.kernel_misses, 2u);
+  EXPECT_EQ(s.kernel_hits, 0u);
+  EXPECT_EQ(s.entries, 2u);
+
+  Result<ot::SinkhornResult> hit = ot::RunSinkhorn(cost, p, q, opts);
+  ASSERT_TRUE(hit.ok()) << hit.status().message();
+  s = cache.Stats();
+  EXPECT_EQ(s.kernel_misses, 2u);
+  EXPECT_EQ(s.kernel_hits, 1u);
+
+  ot::SinkhornOptions plain = opts;
+  plain.solve_cache = nullptr;
+  plain.cache_cost_fingerprint = 0;
+  Result<ot::SinkhornResult> off = ot::RunSinkhorn(cost, p, q, plain);
+  ASSERT_TRUE(off.ok());
+  EXPECT_TRUE(off->plan.data() == miss->plan.data());
+  EXPECT_TRUE(off->plan.data() == hit->plan.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -441,89 +431,17 @@ TEST(SolveCacheRepairTest, RepeatedRepairHitsAndStaysBitIdentical) {
   ASSERT_TRUE(cold.ok()) << cold.status().message();
   EXPECT_EQ(cold->cache_kernel_misses, 1u);
   EXPECT_EQ(cold->cache_kernel_hits, 0u);
-  EXPECT_FALSE(cold->cache_warm_started);
 
   Result<RepairReport> hot = RepairTable(table, XyGivenZ(), opts);
   ASSERT_TRUE(hot.ok()) << hot.status().message();
   EXPECT_EQ(hot->cache_kernel_hits, 1u);
   EXPECT_EQ(hot->cache_kernel_misses, 0u);
 
-  // Kernel reuse alone (no warm start) leaves results bit-identical.
+  // Kernel reuse leaves results bit-identical.
   EXPECT_TRUE(cold->repaired.SameContents(hot->repaired));
   EXPECT_EQ(cold->transport_cost, hot->transport_cost);
   EXPECT_EQ(cold->final_cmi, hot->final_cmi);
   EXPECT_EQ(cold->total_sinkhorn_iterations, hot->total_sinkhorn_iterations);
-}
-
-TEST(SolveCacheRepairTest, AnnealStageKernelNeverAliasesADenseJob) {
-  // A dense-path annealed repair builds its stage kernels as cutoff-0 CSR
-  // (the cost is function-backed). Those entries must be keyed as sparse:
-  // a later dense repair at a stage ε must miss, build its own dense
-  // kernel, publish it, and hit on the repeat — with the cache's hit
-  // counter agreeing with the hits the repairs report.
-  const dataset::Table table = MakeViolatingTable(33);
-  SolveCache cache;
-  RepairOptions annealed = FastRepairOptions();
-  annealed.fast.solve_cache = &cache;
-  annealed.fast.epsilon = 0.05;
-  annealed.fast.epsilon_schedule.initial_epsilon = 0.2;  // stages 0.2, 0.1
-  annealed.fast.epsilon_schedule.decay = 0.5;
-  RepairOptions at_stage = FastRepairOptions();
-  at_stage.fast.solve_cache = &cache;
-  at_stage.fast.epsilon = 0.1;
-
-  size_t reported_hits = 0;
-  Result<RepairReport> first = RepairTable(table, XyGivenZ(), annealed);
-  ASSERT_TRUE(first.ok()) << first.status().message();
-  ASSERT_EQ(first->anneal_stages.size(), 2u);
-  reported_hits += first->cache_kernel_hits;
-  Result<RepairReport> cold = RepairTable(table, XyGivenZ(), at_stage);
-  ASSERT_TRUE(cold.ok()) << cold.status().message();
-  EXPECT_EQ(cold->cache_kernel_hits, 0u);
-  reported_hits += cold->cache_kernel_hits;
-  Result<RepairReport> repeat = RepairTable(table, XyGivenZ(), at_stage);
-  ASSERT_TRUE(repeat.ok()) << repeat.status().message();
-  EXPECT_EQ(repeat->cache_kernel_hits, 1u);
-  reported_hits += repeat->cache_kernel_hits;
-
-  EXPECT_EQ(cache.Stats().kernel_hits, reported_hits);
-  EXPECT_EQ(cold->transport_cost, repeat->transport_cost);
-}
-
-TEST(SolveCacheRepairTest, CacheWarmStartSavesIterationsAcrossRepairs) {
-  const dataset::Table table = MakeViolatingTable(32);
-  SolveCache cache;
-  // This test needs the cold repair to actually converge (only converged
-  // potentials are stored): a gentle λ so the relaxed-update contraction
-  // λ/(λ+ε) stays well under 1, and tolerances this problem reaches.
-  RepairOptions opts;
-  opts.fast.epsilon = 0.2;
-  opts.fast.lambda = 10.0;
-  opts.fast.sinkhorn_tolerance = 1e-7;
-  opts.fast.outer_tolerance = 1e-3;
-  opts.fast.num_threads = 1;
-  opts.fast.solve_cache = &cache;
-  opts.fast.cache_warm_start = true;
-
-  Result<RepairReport> cold = RepairTable(table, XyGivenZ(), opts);
-  ASSERT_TRUE(cold.ok()) << cold.status().message();
-  ASSERT_TRUE(cold->converged);
-  EXPECT_FALSE(cold->cache_warm_started);
-
-  Result<RepairReport> warm = RepairTable(table, XyGivenZ(), opts);
-  ASSERT_TRUE(warm.ok()) << warm.status().message();
-  EXPECT_TRUE(warm->converged);
-  EXPECT_TRUE(warm->cache_warm_started);
-  EXPECT_LE(warm->total_sinkhorn_iterations, cold->total_sinkhorn_iterations);
-  if (warm->total_sinkhorn_iterations < cold->total_sinkhorn_iterations) {
-    EXPECT_EQ(warm->cache_warm_iterations_saved,
-              cold->total_sinkhorn_iterations -
-                  warm->total_sinkhorn_iterations);
-  } else {
-    EXPECT_EQ(warm->cache_warm_iterations_saved, 0u);
-  }
-  // Equal tolerance: the warm repair satisfies the constraint as well.
-  EXPECT_NEAR(warm->target_cmi, cold->target_cmi, 1e-6);
 }
 
 TEST(SolveCacheSchedulerTest, RejectsJobsThatBringTheirOwnCache) {
@@ -580,7 +498,6 @@ TEST(SolveCacheSchedulerTest, ConcurrentBatchSharesOneCacheBitIdentically) {
             jobs.size());
   EXPECT_EQ(report.cache.entries, 2u);
   EXPECT_GT(report.cache.bytes_cached, 0u);
-  EXPECT_EQ(report.cache.warm_hits, 0u);  // warm starts stay opt-in
 
   RepairSchedulerOptions plain;
   plain.max_concurrent_jobs = 1;

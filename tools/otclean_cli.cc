@@ -35,13 +35,6 @@
 //                          halves kernel memory traffic, accumulates in
 //                          double, and keeps the f64 plan structure
 //                          (fast solver only)
-//   --epsilon-schedule INIT[,DECAY[,STAGETOL[,STAGEITERS]]]
-//                          ε-annealing: warm the first solve through a
-//                          sequence of larger-ε stages starting at INIT,
-//                          multiplying by DECAY (default 0.5) down to
-//                          --epsilon; each stage runs to STAGETOL
-//                          (default 1e-4) or STAGEITERS (default 500)
-//                          iterations (fast solver only)
 //   --map                  deterministic MAP repairs instead of sampling
 //   --seed N               RNG seed (default 42)
 //   --report               print CMI / cost diagnostics to stderr
@@ -63,8 +56,8 @@
 //                          command-line defaults); output= and name= are
 //                          per-line only; z= and any option key (solver=
 //                          epsilon= lambda= threads= truncation=
-//                          log-domain=0|1 precision= epsilon-schedule=
-//                          map=0|1 seed= deadline-ms= retries=) override
+//                          log-domain=0|1 precision= map=0|1 seed=
+//                          deadline-ms= retries=) override
 //                          the command-line defaults for that job.
 //   --jobs N               concurrent repair jobs (default 0 = all cores).
 //                          All jobs share ONE kernel thread pool; per-job
@@ -74,14 +67,13 @@
 //                          truncation) share one built kernel —
 //                          bit-identical to rebuilding it per job.
 //   --no-cache             run the batch cache-less.
-//   --cache-warm           also warm-start repeated solves from cached
-//                          potentials (fewer Sinkhorn iterations at equal
-//                          tolerance, but results are no longer
-//                          bit-identical run to run — see README).
 //   --max-queued N         admission bound on the scheduler's pending
 //                          queue (default 0 = unbounded). The CLI hands
 //                          the scheduler whole batches with backpressure,
 //                          so this only changes pacing, never results.
+//
+// The flag set is closed: an unknown flag, or a value flag given last
+// with no value, is an InvalidArgument (exit 1), never a silent default.
 //
 // In batch mode each job's RepairOptions::seed is derived from seed= mixed
 // with the job's 0-based position among the manifest's JOBS — comment and
@@ -118,10 +110,18 @@ struct CliArgs {
   bool report = false;
   bool log_domain = false;
   bool no_cache = false;
-  bool cache_warm = false;
 };
 
-CliArgs ParseArgs(int argc, char** argv) {
+/// Parses the command line against the closed flag set: the boolean flags
+/// below, and the `--key value` flags named in kValueFlags. An unknown
+/// flag (a typo like --eps must not run with the default ε), a stray
+/// positional argument, or a value flag with nothing after it is an
+/// InvalidArgument — the same policy as the manifest's closed key set.
+Result<CliArgs> ParseArgs(int argc, char** argv) {
+  static const std::set<std::string> kValueFlags{
+      "input", "output", "x", "y", "z", "solver", "epsilon", "lambda",
+      "seed", "threads", "truncation", "precision", "deadline-ms", "retries",
+      "batch", "jobs", "cache-bytes", "max-queued"};
   CliArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -133,9 +133,11 @@ CliArgs ParseArgs(int argc, char** argv) {
       args.report = true;
     } else if (a == "--no-cache") {
       args.no_cache = true;
-    } else if (a == "--cache-warm") {
-      args.cache_warm = true;
-    } else if (a.rfind("--", 0) == 0 && i + 1 < argc) {
+    } else if (a.rfind("--", 0) != 0 || !kValueFlags.count(a.substr(2))) {
+      return Status::InvalidArgument("unknown argument '" + a + "'");
+    } else if (i + 1 == argc) {
+      return Status::InvalidArgument(a + " needs a value");
+    } else {
       args.named[a.substr(2)] = argv[++i];
     }
   }
@@ -240,39 +242,6 @@ Result<core::RepairOptions> BuildRepairOptions(const KvLookup& kv,
     return Status::InvalidArgument("unknown precision '" + precision +
                                    "' (use f32 or f64)");
   }
-  if (const std::string sched = kv.Get("epsilon-schedule"); !sched.empty()) {
-    const std::vector<std::string> parts = SplitString(sched, ',');
-    if (parts.empty() || parts.size() > 4) {
-      return Status::InvalidArgument(
-          "bad epsilon-schedule (expected INIT[,DECAY[,STAGETOL"
-          "[,STAGEITERS]]])");
-    }
-    auto init = ParseDouble(parts[0]);
-    if (!init.ok()) return Status::InvalidArgument("bad epsilon-schedule INIT");
-    options.fast.epsilon_schedule.initial_epsilon = *init;
-    if (parts.size() > 1) {
-      auto decay = ParseDouble(parts[1]);
-      if (!decay.ok()) {
-        return Status::InvalidArgument("bad epsilon-schedule DECAY");
-      }
-      options.fast.epsilon_schedule.decay = *decay;
-    }
-    if (parts.size() > 2) {
-      auto tol = ParseDouble(parts[2]);
-      if (!tol.ok()) {
-        return Status::InvalidArgument("bad epsilon-schedule STAGETOL");
-      }
-      options.fast.epsilon_schedule.stage_tolerance = *tol;
-    }
-    if (parts.size() > 3) {
-      auto iters = ParseInt(parts[3]);
-      if (!iters.ok() || *iters <= 0) {
-        return Status::InvalidArgument("bad epsilon-schedule STAGEITERS");
-      }
-      options.fast.epsilon_schedule.stage_max_iterations =
-          static_cast<size_t>(*iters);
-    }
-  }
   auto retries = ParseInt(kv.Get("retries", "0"));
   if (!retries.ok() || *retries < 0) {
     return Status::InvalidArgument("bad retries");
@@ -327,32 +296,9 @@ void PrintReport(const core::CiConstraint& constraint,
                static_cast<double>(report.plan_memory_bytes) / 1024.0,
                kernel_note.c_str(), report.sinkhorn_domain, report.precision,
                report.simd_isa);
-  if (!report.anneal_stages.empty()) {
-    std::string stages;
-    size_t stage_iterations = 0;
-    for (const auto& s : report.anneal_stages) {
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "%s%.3g:%zu", stages.empty() ? "" : " ",
-                    s.epsilon, s.iterations);
-      stages += buf;
-      stage_iterations += s.iterations;
-    }
-    std::fprintf(stderr,
-                 "  epsilon annealing: %zu stages [eps:iters %s], "
-                 "%zu stage iterations\n",
-                 report.anneal_stages.size(), stages.c_str(),
-                 stage_iterations);
-  }
   if (report.cache_kernel_hits + report.cache_kernel_misses > 0) {
-    std::string warm_note;
-    if (report.cache_warm_started) {
-      warm_note = ", warm-started (saved " +
-                  std::to_string(report.cache_warm_iterations_saved) +
-                  " sinkhorn iterations)";
-    }
-    std::fprintf(stderr, "  solve cache: kernel %s%s\n",
-                 report.cache_kernel_hits > 0 ? "hit" : "miss",
-                 warm_note.c_str());
+    std::fprintf(stderr, "  solve cache: kernel %s\n",
+                 report.cache_kernel_hits > 0 ? "hit" : "miss");
   }
   if (report.retry_attempts > 0) {
     std::fprintf(stderr, "  termination: %s after %zu fallback attempt(s)\n"
@@ -363,7 +309,8 @@ void PrintReport(const core::CiConstraint& constraint,
 }
 
 /// The per-job status cell of the batch summary: ok jobs report their
-/// RepairReport termination ("ok" / "retried-ok"), failures name the two
+/// RepairReport termination ("ok" / "retried-ok" / "iteration-cap"),
+/// failures name the two
 /// robustness outcomes and lump the rest as FAILED (the Status follows).
 const char* TerminationLabel(const Result<core::RepairReport>& r) {
   if (r.ok()) return r->termination;
@@ -407,9 +354,6 @@ int RunBatch(const CliArgs& args, const std::string& manifest_path,
     if (args.named.count("cache-bytes")) {
       return Fail("--no-cache and --cache-bytes are mutually exclusive");
     }
-    if (args.cache_warm) {
-      return Fail("--cache-warm needs the cache; drop --no-cache");
-    }
     cache_bytes = 0;
   } else if (args.named.count("cache-bytes")) {
     auto n = ParseInt(args.named.at("cache-bytes"));
@@ -448,8 +392,7 @@ int RunBatch(const CliArgs& args, const std::string& manifest_path,
       static const std::set<std::string> kKnownKeys{
           "input", "x", "y", "z", "output", "name", "solver",
           "epsilon", "lambda", "seed", "threads", "truncation",
-          "log-domain", "precision", "epsilon-schedule", "map",
-          "deadline-ms", "retries"};
+          "log-domain", "precision", "map", "deadline-ms", "retries"};
       if (!kKnownKeys.count(key)) {
         return Fail("manifest line " + std::to_string(line_no) +
                     ": unknown key '" + key + "'");
@@ -483,7 +426,6 @@ int RunBatch(const CliArgs& args, const std::string& manifest_path,
     auto options = BuildRepairOptions(kv, args.map_repair, args.log_domain);
     if (!options.ok()) return Fail(options.status().ToString() + at);
     job.options = std::move(options).value();
-    job.options.fast.cache_warm_start = args.cache_warm;
     auto deadline_ms = ParseDeadlineMillis(kv);
     if (!deadline_ms.ok()) return Fail(deadline_ms.status().ToString() + at);
     if (*deadline_ms > 0) {
@@ -588,11 +530,9 @@ int RunBatch(const CliArgs& args, const std::string& manifest_path,
     // batch, and only Stats() includes the table lookups recorded above.
     const core::SolveCacheStats c = cache->Stats();
     std::printf(
-        "# cache: kernels %zu hit / %zu miss; warm starts %zu "
-        "(%zu sinkhorn iterations saved); tables %zu hit / %zu miss; "
+        "# cache: kernels %zu hit / %zu miss; tables %zu hit / %zu miss; "
         "%.1f MiB cached, %zu evictions\n",
-        c.kernel_hits, c.kernel_misses, c.warm_hits,
-        c.warm_iterations_saved, c.table_hits, c.table_misses,
+        c.kernel_hits, c.kernel_misses, c.table_hits, c.table_misses,
         static_cast<double>(c.bytes_cached) / (1024.0 * 1024.0),
         c.evictions);
   }
@@ -602,7 +542,9 @@ int RunBatch(const CliArgs& args, const std::string& manifest_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args = ParseArgs(argc, argv);
+  const Result<CliArgs> parsed = ParseArgs(argc, argv);
+  if (!parsed.ok()) return Fail(parsed.status().ToString());
+  const CliArgs& args = *parsed;
   const KvLookup kv(kNoLine, args.named);
 
   // The fault harness outlives both modes; armed only when the env var is
@@ -623,11 +565,11 @@ int main(int argc, char** argv) {
     return RunBatch(args, manifest, faults);
   }
 
-  if (args.no_cache || args.cache_warm || args.named.count("cache-bytes") ||
+  if (args.no_cache || args.named.count("cache-bytes") ||
       args.named.count("max-queued")) {
     // Silently accepting them would imply single-job runs are cached.
     return Fail(
-        "--cache-bytes/--no-cache/--cache-warm/--max-queued apply to "
+        "--cache-bytes/--no-cache/--max-queued apply to "
         "--batch only (a single job has nothing to share a cache or an "
         "admission queue with)");
   }
@@ -640,7 +582,6 @@ int main(int argc, char** argv) {
                  "[--solver fast|qclp|capuchin-ic|capuchin-mf|capmaxsat] "
                  "[--epsilon F] [--lambda F] [--threads N] [--truncation F] "
                  "[--log-domain] [--precision f32|f64] "
-                 "[--epsilon-schedule INIT[,DECAY[,STAGETOL[,STAGEITERS]]]] "
                  "[--map] [--seed N] [--report] [--deadline-ms N] "
                  "[--retries N]\n"
                  "       otclean --batch manifest.txt [--jobs N] "
