@@ -188,15 +188,15 @@ inline std::vector<FairnessRow> RunFairnessBench(
     return internal::PreparedFold{std::move(repaired), repairer};
   };
 
-  auto capuchin_prep = [&bundle](fairness::CapuchinMethod method) {
-    return [&bundle, method](const dataset::Table& train)
+  auto capuchin_prep = [&bundle](core::Solver solver) {
+    return [&bundle, solver](const dataset::Table& train)
                -> Result<internal::PreparedFold> {
-      fairness::CapuchinOptions opts;
-      opts.method = method;
+      core::RepairOptions opts;
+      opts.solver = solver;
       OTCLEAN_ASSIGN_OR_RETURN(
-          dataset::Table repaired,
-          fairness::CapuchinRepair(train, bundle.constraint, opts));
-      return internal::PreparedFold{std::move(repaired), nullptr};
+          core::RepairReport report,
+          core::RepairTable(train, bundle.constraint, opts));
+      return internal::PreparedFold{std::move(report.repaired), nullptr};
     };
   };
 
@@ -222,11 +222,9 @@ inline std::vector<FairnessRow> RunFairnessBench(
   methods.push_back({"FastOTClean-C2", otclean_prep(true), false});
   if (config.include_qclp) methods.push_back({"QCLP", qclp_prep, false});
   methods.push_back(
-      {"Cap(MF)",
-       capuchin_prep(fairness::CapuchinMethod::kMatrixFactorization), false});
+      {"Cap(MF)", capuchin_prep(core::Solver::kCapuchinMF), false});
   methods.push_back(
-      {"Cap(IC)",
-       capuchin_prep(fairness::CapuchinMethod::kIndependentCoupling), false});
+      {"Cap(IC)", capuchin_prep(core::Solver::kCapuchinIC), false});
   methods.push_back({"Cap(MS)", maxsat_prep, false});
   methods.push_back({"Dropped", nullptr, true});
 

@@ -49,16 +49,20 @@ void RunDataset(const datagen::DatasetBundle& bundle, bool include_qclp) {
                   core::RepairTable(t, bundle.constraint, opts, &cost));
               return std::move(r).repaired;
             }));
-  print_row("Cap(MF)", TimeTransform(table, [&](const dataset::Table& t) {
-              fairness::CapuchinOptions opts;
-              opts.method = fairness::CapuchinMethod::kMatrixFactorization;
-              return fairness::CapuchinRepair(t, bundle.constraint, opts);
-            }));
-  print_row("Cap(IC)", TimeTransform(table, [&](const dataset::Table& t) {
-              fairness::CapuchinOptions opts;
-              opts.method = fairness::CapuchinMethod::kIndependentCoupling;
-              return fairness::CapuchinRepair(t, bundle.constraint, opts);
-            }));
+  // The Capuchin baselines run through the same RepairTable pipeline.
+  const auto capuchin = [&](core::Solver solver) {
+    return [&, solver](const dataset::Table& t) -> Result<dataset::Table> {
+      core::RepairOptions opts;
+      opts.solver = solver;
+      OTCLEAN_ASSIGN_OR_RETURN(core::RepairReport r,
+                               core::RepairTable(t, bundle.constraint, opts));
+      return std::move(r).repaired;
+    };
+  };
+  print_row("Cap(MF)",
+            TimeTransform(table, capuchin(core::Solver::kCapuchinMF)));
+  print_row("Cap(IC)",
+            TimeTransform(table, capuchin(core::Solver::kCapuchinIC)));
   print_row("Cap(MS)", TimeTransform(table, [&](const dataset::Table& t)
                                          -> Result<dataset::Table> {
               fairness::CapMaxSatOptions opts;

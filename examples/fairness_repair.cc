@@ -67,11 +67,15 @@ int main() {
       },
       "OTClean");
 
+  // The Capuchin baseline runs through the same pipeline, one solver away.
+  core::RepairOptions capuchin;
+  capuchin.solver = core::Solver::kCapuchinIC;
   evaluate(
       [&](const dataset::Table& train) -> Result<dataset::Table> {
-        fairness::CapuchinOptions cap;
-        cap.method = fairness::CapuchinMethod::kIndependentCoupling;
-        return fairness::CapuchinRepair(train, bundle.constraint, cap);
+        OTCLEAN_ASSIGN_OR_RETURN(
+            core::RepairReport rep,
+            core::RepairTable(train, bundle.constraint, capuchin));
+        return rep.repaired;
       },
       "Cap(IC)");
 

@@ -97,14 +97,18 @@ struct OuterLoopKernel {
   /// Materializes the final plan from the converged potentials and stores
   /// ⟨C, π⟩ in `transport_cost`. The sparse paths stay CSR end to end —
   /// TransportPlan keeps the CSR backing, so no dense rows×cols plan is
-  /// ever allocated on a truncated solve, log-domain included.
+  /// ever allocated on a truncated solve, log-domain included. The
+  /// materialized dense cost is dropped once ⟨C, π⟩ is taken, before the
+  /// plan is allocated, so a dense linear repair never holds cost, kernel
+  /// and plan at once (the solve cache may still hold its own copy).
   ot::TransportPlan MaterializePlan(const prob::Domain& dom,
                                     const std::vector<size_t>& row_cells,
                                     const std::vector<size_t>& col_cells,
                                     const linalg::Vector& u,
                                     const linalg::Vector& v,
-                                    double& transport_cost) const {
+                                    double& transport_cost) {
     transport_cost = TransportCost(u, v);
+    build.dense_cost.reset();
     return Visit([&](const auto& k) {
       if constexpr (ot::kIsSparseKernel<std::decay_t<decltype(k)>>) {
         return ot::TransportPlan(dom, row_cells, col_cells,
@@ -295,15 +299,15 @@ prob::JointDistribution IterativeNmfProjection(
 /// solves the relaxed OT problem against the current target Q on the
 /// repair's one kernel, step B re-projects the plan's target marginal onto
 /// the CI set. The projection is the only thing that varies: per-slice
-/// iterative KL-NMF (`iterative_nmf`, single constraint), else the cyclic
-/// multi-constraint I-projection, whose one-spec case is the closed-form
-/// rank-one projection. `where` names the public entry point in errors.
+/// iterative KL-NMF (`options.iterative_nmf`, one constraint only), else
+/// the cyclic multi-constraint I-projection, whose one-spec case is the
+/// closed-form rank-one projection. `where` names the public entry point
+/// in errors.
 Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
                                        const std::vector<prob::CiSpec>& cis,
                                        const ot::CostFunction& cost,
                                        const FastOtCleanOptions& options,
-                                       Rng& rng, bool iterative_nmf,
-                                       const char* where) {
+                                       Rng& rng, const char* where) {
   const std::string name(where);
   const prob::Domain& dom = p_data.domain();
   if (dom.TotalSize() == 0) {
@@ -311,6 +315,11 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
   }
   if (cis.empty()) {
     return Status::InvalidArgument(name + ": no constraints");
+  }
+  if (options.iterative_nmf && cis.size() > 1) {
+    return Status::InvalidArgument(
+        name + ": iterative_nmf factorizes one constraint's slices and "
+               "supports exactly one constraint");
   }
   if (std::fabs(p_data.Mass() - 1.0) > 1e-6) {
     return Status::InvalidArgument(name + ": p_data must be normalized");
@@ -373,8 +382,8 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
     for (size_t i = 0; i < q.size(); ++i) q[i] = rng.NextDouble();
     q.Normalize();
   }
-  q = iterative_nmf ? prob::CiProjection(q, cis[0])
-                    : prob::MultiCiProjection(q, cis);
+  q = options.iterative_nmf ? prob::CiProjection(q, cis[0])
+                            : prob::MultiCiProjection(q, cis);
   const auto columns_of = [&](const prob::JointDistribution& d) {
     linalg::Vector cols(col_cells.size());
     for (size_t j = 0; j < col_cells.size(); ++j) cols[j] = d[col_cells[j]];
@@ -395,8 +404,7 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
   const SolveCacheKey cache_key = ot::KernelCacheKey(
       sink.cache_cost_fingerprint, row_cells.size(), col_cells.size(), spec);
   MaybeInjectAllocFailure(options.fault_injector);
-  const OuterLoopKernel kernel(build_view, spec, options.solve_cache,
-                               cache_key);
+  OuterLoopKernel kernel(build_view, spec, options.solve_cache, cache_key);
   // Truncation must not strand source mass: every active-domain row needs
   // a surviving kernel entry. (Columns may legitimately go empty — the
   // relaxed target marginal simply never reaches them.)
@@ -444,7 +452,7 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
     target_mass /= total;
     prob::JointDistribution t = ExpandToDomain(dom, col_cells, target_mass);
     prob::JointDistribution q_proj =
-        iterative_nmf
+        options.iterative_nmf
             ? IterativeNmfProjection(t, cis[0], options.nmf_max_iterations,
                                      rng)
             : prob::MultiCiProjection(t, cis);
@@ -482,16 +490,14 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
                                       const ot::CostFunction& cost,
                                       const FastOtCleanOptions& options,
                                       Rng& rng) {
-  return RunOuterLoop(p_data, {ci}, cost, options, rng, options.iterative_nmf,
-                      "FastOtClean");
+  return RunOuterLoop(p_data, {ci}, cost, options, rng, "FastOtClean");
 }
 
 Result<FastOtCleanResult> FastOtCleanMulti(
     const prob::JointDistribution& p_data,
     const std::vector<prob::CiSpec>& cis, const ot::CostFunction& cost,
     const FastOtCleanOptions& options, Rng& rng) {
-  return RunOuterLoop(p_data, cis, cost, options, rng, /*iterative_nmf=*/false,
-                      "FastOtCleanMulti");
+  return RunOuterLoop(p_data, cis, cost, options, rng, "FastOtCleanMulti");
 }
 
 }  // namespace otclean::core

@@ -46,7 +46,8 @@ struct FastOtCleanOptions {
   bool restrict_columns_to_active = false;
   /// Use the iterative Lee–Seung KL-NMF in the inner loop instead of the
   /// closed-form rank-one projection (they coincide at convergence; the
-  /// closed form is the default because it is exact and faster).
+  /// closed form is the default because it is exact and faster). One
+  /// constraint only: FastOtCleanMulti rejects it with two or more.
   bool iterative_nmf = false;
   size_t nmf_max_iterations = 200;
   /// When > 0, run the inner Sinkhorn on a *sparse* truncated kernel:
@@ -157,8 +158,8 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
 /// *all* the given CI specs simultaneously by replacing the inner rank-one
 /// projection with cyclic I-projections onto each constraint (IPF-style).
 /// `target_cmi` in the result is the largest residual CMI across the
-/// constraints. `options.iterative_nmf` is ignored in multi-constraint
-/// mode.
+/// constraints. `options.iterative_nmf` is honoured with exactly one spec
+/// (bit-identical to FastOtClean) and is InvalidArgument with two or more.
 Result<FastOtCleanResult> FastOtCleanMulti(
     const prob::JointDistribution& p_data,
     const std::vector<prob::CiSpec>& cis, const ot::CostFunction& cost,

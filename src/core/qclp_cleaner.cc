@@ -165,11 +165,6 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
                                   const ot::CostFunction& cost,
                                   const QclpOptions& options) {
   const prob::Domain& dom = p_data.domain();
-  if (options.log_domain) {
-    return Status::InvalidArgument(
-        "QclpClean: log_domain=true is not supported — the QCLP path solves "
-        "LPs and never iterates Sinkhorn; unset log_domain for solver=kQclp");
-  }
   if (cis.empty()) {
     return Status::InvalidArgument(
         "QclpCleanMulti: at least one CI constraint is required");

@@ -25,11 +25,6 @@ struct QclpOptions {
   size_t lp_max_iterations = 200000;
   /// Restrict plan columns to the active domain (rows always are).
   bool restrict_columns_to_active = false;
-  /// The QCLP path solves LPs and never iterates Sinkhorn, so a log-domain
-  /// request cannot be honored. Setting this produces a loud
-  /// InvalidArgument instead of a silent no-op (PR 5 precedent for
-  /// silently-ignored options).
-  bool log_domain = false;
   /// Worker threads for the LP pricing scans (the O(m·n)-per-pivot part of
   /// each outer step). 0 = hardware concurrency, 1 = serial; chunk-local
   /// minima merge deterministically, so results are identical across

@@ -17,8 +17,8 @@ namespace otclean::core {
 namespace {
 
 /// The one place plan-storage diagnostics and the active SIMD tier flow
-/// into a RepairReport — shared by every entry point (single-constraint
-/// Fit, multi-constraint, both solvers) so the fields cannot diverge.
+/// into a RepairReport — shared by every solver so the fields cannot
+/// diverge.
 void PopulatePlanReport(const ot::TransportPlan& plan, RepairReport& report) {
   report.plan_sparse = plan.IsSparse();
   report.plan_nnz = plan.Nnz();
@@ -46,8 +46,7 @@ void PopulateFastSolveReport(const FastOtCleanResult& r,
   PopulatePlanReport(r.plan, report);
 }
 
-/// QCLP counterpart of PopulateFastSolveReport, shared by the
-/// single-constraint Fit and RepairTableMulti: the Sinkhorn-only counters
+/// QCLP counterpart of PopulateFastSolveReport: the Sinkhorn-only counters
 /// stay at their zero defaults and the domain/precision strings read "n/a"
 /// so no QCLP path can masquerade as a Sinkhorn run.
 void PopulateQclpSolveReport(const QclpResult& r, RepairReport& report) {
@@ -60,15 +59,13 @@ void PopulateQclpSolveReport(const QclpResult& r, RepairReport& report) {
   PopulatePlanReport(r.plan, report);
 }
 
-/// The Capuchin resampling coupling as a CSR TransportPlan: every active
-/// cell keeps its non-Y coordinates and redistributes its mass over the Y
-/// cells of its slice proportionally to the target q — exactly the "keep X
-/// and Z, resample Y from Q(Y|X,Z)" semantics of fairness::CapuchinRepair,
-/// expressed as a plan so the baselines flow through the same
+/// The Capuchin repair as a CSR TransportPlan: every active cell keeps its
+/// non-Y coordinates and redistributes its mass over the Y cells of its
+/// slice proportionally to the target q — Capuchin's "keep X and Z,
+/// resample Y from Q(Y|X,Z)" — so the baselines flow through the same
 /// SampleRepair/MapRepair apply path and report the same plan diagnostics
 /// as the OT solvers. Rows whose slice carries no target mass get an empty
-/// CSR row and therefore pass through unrepaired, matching the legacy
-/// resampler's total == 0 branch.
+/// CSR row and therefore pass through unrepaired.
 struct CapuchinPlanResult {
   ot::TransportPlan plan;
   double transport_cost = 0.0;
@@ -185,7 +182,7 @@ Result<RepairReport> GuardedAttempt(
   }
 }
 
-/// The retry driver shared by RepairTable and RepairTableMulti. Runs up to
+/// The retry driver of RepairTableMulti (and so RepairTable). Runs up to
 /// retry.max_attempts attempts, each through GuardedAttempt; retryable
 /// failures (RetryableFailure, or an unconverged-but-ok result) trigger
 /// the next fallback tier. A converged result from a fallback terminates
@@ -262,18 +259,58 @@ Result<RepairReport> RunWithRetries(
 
 Status OtCleanRepairer::Fit(const dataset::Table& table,
                             const ot::CostFunction* cost) {
-  const dataset::Schema& schema = table.schema();
-  OTCLEAN_ASSIGN_OR_RETURN(std::vector<size_t> u_cols,
-                           constraint_.ResolveColumns(schema));
+  fitted_ = false;
+  if (constraints_.empty()) {
+    return Status::InvalidArgument("OtCleanRepairer::Fit: no constraints");
+  }
+  const bool ot_solver = options_.solver == Solver::kFastOtClean ||
+                         options_.solver == Solver::kQclp;
+  if (constraints_.size() > 1 && !ot_solver) {
+    return Status::InvalidArgument(
+        "OtCleanRepairer::Fit: multi-constraint repair supports "
+        "Solver::kFastOtClean and Solver::kQclp; the fairness baselines "
+        "(Capuchin) are single-constraint — repair per constraint");
+  }
+  if (options_.solver == Solver::kCapMaxSat) {
+    return Status::InvalidArgument(
+        "OtCleanRepairer::Fit: Solver::kCapMaxSat repairs by inserting and "
+        "deleting whole tuples and has no row-level transport plan; use "
+        "RepairTable, which dispatches it directly");
+  }
+  if (!options_.use_saturation && (constraints_.size() > 1 || !ot_solver)) {
+    return Status::InvalidArgument(
+        "OtCleanRepairer::Fit: use_saturation = false (naive full-joint "
+        "cleaning) needs one constraint and Solver::kFastOtClean or "
+        "Solver::kQclp; the multi-constraint and Capuchin cleaners always "
+        "operate on the constraint attributes");
+  }
 
-  if (options_.use_saturation) {
-    cleaned_cols_ = u_cols;
-  } else {
-    // Naive mode: clean the full joint; put U first so the CI spec is easy
-    // to position, then the remaining columns.
-    cleaned_cols_ = u_cols;
+  // Union of the constraint attributes, in first-appearance order, with
+  // each constraint's spec positioned within it. ResolveColumns returns a
+  // constraint's columns in X,Y,Z order, so they split by the X/Y sizes.
+  const dataset::Schema& schema = table.schema();
+  cleaned_cols_.clear();
+  std::vector<prob::CiSpec> specs;
+  for (const CiConstraint& constraint : constraints_) {
+    OTCLEAN_ASSIGN_OR_RETURN(std::vector<size_t> cols,
+                             constraint.ResolveColumns(schema));
+    const size_t nx = constraint.x().size();
+    const size_t ny = constraint.y().size();
+    prob::CiSpec spec;
+    for (size_t j = 0; j < cols.size(); ++j) {
+      const auto it =
+          std::find(cleaned_cols_.begin(), cleaned_cols_.end(), cols[j]);
+      const size_t pos = static_cast<size_t>(it - cleaned_cols_.begin());
+      if (it == cleaned_cols_.end()) cleaned_cols_.push_back(cols[j]);
+      (j < nx ? spec.x : j < nx + ny ? spec.y : spec.z).push_back(pos);
+    }
+    specs.push_back(std::move(spec));
+  }
+  if (!options_.use_saturation) {
+    // Naive mode: clean the full joint, the constraint attributes first
+    // (so the spec above stays valid), then the remaining columns.
     std::vector<bool> in_u(schema.num_columns(), false);
-    for (size_t c : u_cols) in_u[c] = true;
+    for (size_t c : cleaned_cols_) in_u[c] = true;
     for (size_t c = 0; c < schema.num_columns(); ++c) {
       if (!in_u[c]) cleaned_cols_.push_back(c);
     }
@@ -287,9 +324,8 @@ Status OtCleanRepairer::Fit(const dataset::Table& table,
         "attributes");
   }
 
-  const prob::CiSpec spec = constraint_.SpecInProjectedDomain();
   fit_report_ = RepairReport{};
-  fit_report_.initial_cmi = prob::ConditionalMutualInformation(p, spec);
+  fit_report_.initial_cmi = prob::MaxCmi(p, specs);
 
   // Default cost: the paper's C1 (stddev-normalized Euclidean).
   std::unique_ptr<ot::CostFunction> default_cost;
@@ -301,29 +337,20 @@ Status OtCleanRepairer::Fit(const dataset::Table& table,
 
   Rng rng(options_.seed);
   if (options_.solver == Solver::kFastOtClean) {
-    OTCLEAN_ASSIGN_OR_RETURN(FastOtCleanResult r,
-                             FastOtClean(p, spec, *cost, options_.fast, rng));
+    OTCLEAN_ASSIGN_OR_RETURN(
+        FastOtCleanResult r,
+        FastOtCleanMulti(p, specs, *cost, options_.fast, rng));
     PopulateFastSolveReport(r, options_.fast, fit_report_);
     plan_ = std::move(r.plan);
     target_ = std::move(r.target);
   } else if (options_.solver == Solver::kQclp) {
-    OTCLEAN_ASSIGN_OR_RETURN(QclpResult r,
-                             QclpClean(p, spec, *cost, options_.qclp));
+    OTCLEAN_ASSIGN_OR_RETURN(
+        QclpResult r, QclpCleanMulti(p, specs, *cost, options_.qclp));
     PopulateQclpSolveReport(r, fit_report_);
     plan_ = std::move(r.plan);
     target_ = std::move(r.target);
-  } else if (options_.solver == Solver::kCapMaxSat) {
-    return Status::InvalidArgument(
-        "OtCleanRepairer::Fit: Solver::kCapMaxSat repairs by inserting and "
-        "deleting whole tuples and has no row-level transport plan; use "
-        "RepairTable, which dispatches it directly");
-  } else {  // kCapuchinIC / kCapuchinMF
-    if (!options_.use_saturation) {
-      return Status::InvalidArgument(
-          "OtCleanRepairer::Fit: use_saturation = false (naive full-joint "
-          "cleaning) is not supported by the Capuchin solvers — they repair "
-          "over the constraint attributes only");
-    }
+  } else {  // kCapuchinIC / kCapuchinMF: one constraint, checked above
+    const prob::CiSpec& spec = specs.front();
     OTCLEAN_RETURN_NOT_OK(CheckStop(options_.fairness.cancel_token,
                                     options_.fairness.deadline,
                                     "OtCleanRepairer::Fit: Capuchin target"));
@@ -388,17 +415,29 @@ Result<dataset::Table> OtCleanRepairer::Apply(const dataset::Table& table,
 
 namespace {
 
-/// One fit+apply attempt of the single-constraint repair (the pre-retry
-/// RepairTable body, verbatim).
-Result<RepairReport> RepairTableOnce(const dataset::Table& table,
-                                     const CiConstraint& constraint,
-                                     const RepairOptions& options,
-                                     const ot::CostFunction* cost) {
-  if (options.solver == Solver::kCapMaxSat) {
+/// The largest CMI of `table`'s empirical distribution across
+/// `constraints`.
+Result<double> MaxTableCmi(const dataset::Table& table,
+                           const std::vector<CiConstraint>& constraints) {
+  double mx = 0.0;
+  for (const CiConstraint& constraint : constraints) {
+    OTCLEAN_ASSIGN_OR_RETURN(const double cmi, TableCmi(table, constraint));
+    mx = std::max(mx, cmi);
+  }
+  return mx;
+}
+
+/// One fit+apply attempt of a repair, the body RunWithRetries retries.
+Result<RepairReport> RepairOnce(const dataset::Table& table,
+                                const std::vector<CiConstraint>& constraints,
+                                const RepairOptions& options,
+                                const ot::CostFunction* cost) {
+  if (options.solver == Solver::kCapMaxSat && constraints.size() == 1) {
     // Cap(MS) is a tuple add/remove repair with no plan to fit; it
     // dispatches straight to the MaxSAT repairer and reports through the
     // same RepairReport. RepairOptions::seed seeds both the WalkSAT search
-    // and the insertion sampling, so one knob seeds every solver.
+    // and the insertion sampling, so one knob seeds every solver. (With
+    // several constraints the repairer's Fit rejects it.)
     OTCLEAN_RETURN_NOT_OK(CheckStop(options.fairness.cancel_token,
                                     options.fairness.deadline,
                                     "RepairTable: Cap(MS)"));
@@ -407,12 +446,13 @@ Result<RepairReport> RepairTableOnce(const dataset::Table& table,
     cms.maxsat.seed = options.seed;
     cms.seed = options.seed;
     RepairReport report;
-    OTCLEAN_ASSIGN_OR_RETURN(report.initial_cmi, TableCmi(table, constraint));
+    OTCLEAN_ASSIGN_OR_RETURN(report.initial_cmi,
+                             MaxTableCmi(table, constraints));
     OTCLEAN_ASSIGN_OR_RETURN(
         fairness::CapMaxSatReport r,
-        fairness::CapMaxSatRepair(table, constraint, cms));
+        fairness::CapMaxSatRepair(table, constraints.front(), cms));
     OTCLEAN_ASSIGN_OR_RETURN(report.final_cmi,
-                             TableCmi(r.repaired, constraint));
+                             MaxTableCmi(r.repaired, constraints));
     // The repaired empirical distribution *is* the target of a tuple-level
     // repair.
     report.target_cmi = report.final_cmi;
@@ -423,13 +463,14 @@ Result<RepairReport> RepairTableOnce(const dataset::Table& table,
     report.repaired = std::move(r.repaired);
     return report;
   }
-  OtCleanRepairer repairer(constraint, options);
+  OtCleanRepairer repairer(constraints, options);
   OTCLEAN_RETURN_NOT_OK(repairer.Fit(table, cost));
   Rng rng(options.seed ^ 0xabcdef12345ull);
   OTCLEAN_ASSIGN_OR_RETURN(dataset::Table repaired,
                            repairer.Apply(table, rng));
   RepairReport report = repairer.fit_report();
-  OTCLEAN_ASSIGN_OR_RETURN(report.final_cmi, TableCmi(repaired, constraint));
+  OTCLEAN_ASSIGN_OR_RETURN(report.final_cmi,
+                           MaxTableCmi(repaired, constraints));
   report.repaired = std::move(repaired);
   return report;
 }
@@ -440,9 +481,7 @@ Result<RepairReport> RepairTable(const dataset::Table& table,
                                  const CiConstraint& constraint,
                                  const RepairOptions& options,
                                  const ot::CostFunction* cost) {
-  return RunWithRetries(options, [&](const RepairOptions& opts) {
-    return RepairTableOnce(table, constraint, opts, cost);
-  });
+  return RepairTableMulti(table, {constraint}, options, cost);
 }
 
 Result<double> TableCmi(const dataset::Table& table,
@@ -454,144 +493,11 @@ Result<double> TableCmi(const dataset::Table& table,
       p, constraint.SpecInProjectedDomain());
 }
 
-namespace {
-
-/// One attempt of the multi-constraint repair (the pre-retry
-/// RepairTableMulti body, verbatim).
-Result<RepairReport> RepairTableMultiOnce(
-    const dataset::Table& table, const std::vector<CiConstraint>& constraints,
-    const RepairOptions& options, const ot::CostFunction* cost) {
-  if (constraints.empty()) {
-    return Status::InvalidArgument("RepairTableMulti: no constraints");
-  }
-  if (options.solver != Solver::kFastOtClean &&
-      options.solver != Solver::kQclp) {
-    return Status::InvalidArgument(
-        "RepairTableMulti: multi-constraint repair supports "
-        "Solver::kFastOtClean and Solver::kQclp; the fairness baselines "
-        "(Capuchin) are single-constraint — call RepairTable per "
-        "constraint");
-  }
-  if (!options.use_saturation) {
-    return Status::InvalidArgument(
-        "RepairTableMulti: options.use_saturation = false (naive full-joint "
-        "cleaning) is not supported in multi-constraint mode; the cleaner "
-        "always operates on the union of the constraint attributes");
-  }
-  const dataset::Schema& schema = table.schema();
-
-  // Union of constraint attributes, in first-appearance order. The
-  // per-constraint resolutions are kept: specs below are built from these
-  // already-validated indices, never by re-looking names up.
-  std::vector<size_t> u_cols;
-  std::vector<std::vector<size_t>> resolved_cols;
-  for (const auto& constraint : constraints) {
-    OTCLEAN_ASSIGN_OR_RETURN(std::vector<size_t> cols,
-                             constraint.ResolveColumns(schema));
-    for (size_t c : cols) {
-      if (std::find(u_cols.begin(), u_cols.end(), c) == u_cols.end()) {
-        u_cols.push_back(c);
-      }
-    }
-    resolved_cols.push_back(std::move(cols));
-  }
-  const prob::Domain domain = schema.ToDomain(u_cols);
-
-  // Position each constraint's spec within the union domain. ResolveColumns
-  // returns the constraint's columns in X,Y,Z order, so the resolved vector
-  // splits by the X/Y/Z sizes.
-  auto position_of = [&](size_t col) -> size_t {
-    return static_cast<size_t>(
-        std::find(u_cols.begin(), u_cols.end(), col) - u_cols.begin());
-  };
-  std::vector<prob::CiSpec> specs;
-  for (size_t i = 0; i < constraints.size(); ++i) {
-    const std::vector<size_t>& cols = resolved_cols[i];
-    const size_t nx = constraints[i].x().size();
-    const size_t ny = constraints[i].y().size();
-    prob::CiSpec spec;
-    for (size_t j = 0; j < cols.size(); ++j) {
-      (j < nx ? spec.x : j < nx + ny ? spec.y : spec.z)
-          .push_back(position_of(cols[j]));
-    }
-    specs.push_back(std::move(spec));
-  }
-
-  prob::JointDistribution p = table.Empirical(u_cols);
-  if (p.Mass() <= 0.0) {
-    return Status::InvalidArgument("RepairTableMulti: no complete rows");
-  }
-
-  RepairReport report;
-  report.initial_cmi = prob::MaxCmi(p, specs);
-
-  std::unique_ptr<ot::CostFunction> default_cost;
-  if (cost == nullptr) {
-    default_cost = std::make_unique<ot::EuclideanCost>(
-        ot::InverseStddevWeights(domain, p.probs()));
-    cost = default_cost.get();
-  }
-
-  ot::TransportPlan plan;
-  if (options.solver == Solver::kFastOtClean) {
-    Rng rng(options.seed);
-    OTCLEAN_ASSIGN_OR_RETURN(
-        FastOtCleanResult r,
-        FastOtCleanMulti(p, specs, *cost, options.fast, rng));
-    PopulateFastSolveReport(r, options.fast, report);
-    plan = std::move(r.plan);
-  } else {
-    // The QCLP engine enforces every spec simultaneously — one
-    // linearization block per constraint, column marginal projected onto
-    // the intersection with cyclic I-projections.
-    OTCLEAN_ASSIGN_OR_RETURN(QclpResult r,
-                             QclpCleanMulti(p, specs, *cost, options.qclp));
-    PopulateQclpSolveReport(r, report);
-    plan = std::move(r.plan);
-  }
-
-  // Apply the cleaner row by row over the union columns.
-  Rng apply_rng(options.seed ^ 0xfeedbeefull);
-  dataset::Table repaired(schema);
-  for (size_t row_idx = 0; row_idx < table.num_rows(); ++row_idx) {
-    std::vector<int> row = table.Row(row_idx);
-    size_t cell = 0;
-    bool complete = true;
-    for (size_t i = 0; i < u_cols.size(); ++i) {
-      const int v = row[u_cols[i]];
-      if (v == dataset::kMissing) {
-        complete = false;
-        break;
-      }
-      cell = cell * domain.Cardinality(i) + static_cast<size_t>(v);
-    }
-    if (complete) {
-      const size_t repaired_cell = options.sample_repair
-                                       ? plan.SampleRepair(cell, apply_rng)
-                                       : plan.MapRepair(cell);
-      if (repaired_cell != cell) {
-        const std::vector<int> values = domain.Decode(repaired_cell);
-        for (size_t i = 0; i < u_cols.size(); ++i) {
-          row[u_cols[i]] = values[i];
-        }
-      }
-    }
-    OTCLEAN_RETURN_NOT_OK(repaired.AppendRow(row));
-  }
-
-  const prob::JointDistribution p_after = repaired.Empirical(u_cols);
-  report.final_cmi = prob::MaxCmi(p_after, specs);
-  report.repaired = std::move(repaired);
-  return report;
-}
-
-}  // namespace
-
 Result<RepairReport> RepairTableMulti(
     const dataset::Table& table, const std::vector<CiConstraint>& constraints,
     const RepairOptions& options, const ot::CostFunction* cost) {
   return RunWithRetries(options, [&](const RepairOptions& opts) {
-    return RepairTableMultiOnce(table, constraints, opts, cost);
+    return RepairOnce(table, constraints, opts, cost);
   });
 }
 

@@ -136,22 +136,40 @@ struct RepairReport {
 /// A fitted probabilistic data cleaner: learns the transport plan from one
 /// table's empirical distribution and can then repair that table — or any
 /// stream of new tuples over the same schema (Section 1's streaming use
-/// case).
+/// case). It is the one repair pipeline: RepairTable and RepairTableMulti
+/// fit one and apply it, whatever the solver.
+///
+/// Given several constraints it enforces all of them at once (the paper's
+/// stated extension) over the union of their attributes: FastOTClean runs
+/// cyclic I-projections inside the Sinkhorn alternation and QCLP one
+/// linearization block per constraint. Constraints may overlap but each
+/// must be well-formed for the table's schema. Combinations that cannot
+/// honour several constraints are InvalidArgument errors from Fit rather
+/// than a silent single-constraint solve: the Capuchin baselines are
+/// single-constraint by construction, and `use_saturation` must stay true
+/// (there is no naive full-joint mode over a union). kCapMaxSat has no
+/// plan, so Fit always rejects it.
 class OtCleanRepairer {
  public:
   OtCleanRepairer(CiConstraint constraint, RepairOptions options = {})
-      : constraint_(std::move(constraint)), options_(std::move(options)) {}
+      : OtCleanRepairer(std::vector<CiConstraint>{std::move(constraint)},
+                        std::move(options)) {}
+  OtCleanRepairer(std::vector<CiConstraint> constraints,
+                  RepairOptions options = {})
+      : constraints_(std::move(constraints)), options_(std::move(options)) {}
 
   /// Learns the plan from `table`. `cost` (over the cleaned sub-domain; see
   /// CleanedDomain()) may be null, in which case the paper's C1 cost
   /// (stddev-normalized Euclidean) is built from the empirical distribution.
+  /// `Rng(options.seed)` seeds the solve.
   Status Fit(const dataset::Table& table, const ot::CostFunction* cost = nullptr);
 
   /// True once Fit has succeeded.
   bool fitted() const { return fitted_; }
 
-  /// The domain the plan acts on: the U = X∪Y∪Z sub-domain under
-  /// saturation, the full table domain otherwise.
+  /// The domain the plan acts on: the union of the constraints' attributes
+  /// (in first-appearance order) under saturation, the full table domain
+  /// otherwise.
   const prob::Domain& CleanedDomain() const { return domain_; }
 
   /// The learned plan.
@@ -166,21 +184,24 @@ class OtCleanRepairer {
   /// Repairs every row of `table` (same schema as the fitted table).
   Result<dataset::Table> Apply(const dataset::Table& table, Rng& rng) const;
 
-  /// Diagnostics of the underlying solve.
+  /// Diagnostics of the underlying solve. `initial_cmi` and `target_cmi`
+  /// are the largest CMI across the constraints.
   const RepairReport& fit_report() const { return fit_report_; }
 
  private:
-  CiConstraint constraint_;
+  std::vector<CiConstraint> constraints_;
   RepairOptions options_;
   bool fitted_ = false;
   std::vector<size_t> cleaned_cols_;  ///< table columns the plan acts on.
   prob::Domain domain_;
   ot::TransportPlan plan_;
   prob::JointDistribution target_;
-  RepairReport fit_report_;  ///< `repaired` left empty; filled by Repair().
+  RepairReport fit_report_;  ///< `repaired` left empty.
 };
 
-/// One-shot convenience: fit on `table` and repair it.
+/// One-shot convenience: fit an OtCleanRepairer on `table` and repair it,
+/// applying with `Rng(options.seed ^ 0xabcdef12345)`. Same as
+/// RepairTableMulti(table, {constraint}, options, cost).
 Result<RepairReport> RepairTable(const dataset::Table& table,
                                  const CiConstraint& constraint,
                                  const RepairOptions& options = {},
@@ -191,19 +212,11 @@ Result<RepairReport> RepairTable(const dataset::Table& table,
 Result<double> TableCmi(const dataset::Table& table,
                         const CiConstraint& constraint);
 
-/// Multi-constraint repair (the paper's stated extension): enforces every
-/// constraint simultaneously over the union of their attributes, using
-/// cyclic I-projections inside FastOTClean. `initial_cmi` / `final_cmi`
-/// report the *largest* CMI across the constraints. Constraints may overlap
-/// but each must be individually well-formed for the table's schema.
-/// Supported solvers: `Solver::kFastOtClean` (cyclic I-projections inside
-/// the Sinkhorn alternation) and `Solver::kQclp` (QclpCleanMulti's
-/// per-constraint linearization blocks). Unsupported option combinations
-/// are InvalidArgument errors rather than silently solving something else:
-/// the fairness baselines are single-constraint by construction, and
-/// `options.use_saturation` must stay true (the multi-constraint cleaner
-/// always operates on the union of the constraint attributes; there is no
-/// naive full-joint mode).
+/// Repairs `table` under every constraint at once through OtCleanRepairer
+/// (see its doc for the supported solvers), then reports `initial_cmi` /
+/// `final_cmi` as the *largest* CMI across the constraints. Cap(MS), which
+/// has no plan, repairs its one constraint directly. Runs under the
+/// RetryOptions policy.
 Result<RepairReport> RepairTableMulti(
     const dataset::Table& table, const std::vector<CiConstraint>& constraints,
     const RepairOptions& options = {}, const ot::CostFunction* cost = nullptr);

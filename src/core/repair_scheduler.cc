@@ -278,9 +278,6 @@ Result<RepairReport> RepairScheduler::RunOne(PendingJob& pending) {
     opts.fast.num_threads = 1;
     opts.qclp.num_threads = 1;
   }
-  if (job.constraints.size() == 1) {
-    return RepairTable(*job.table, job.constraints.front(), opts, job.cost);
-  }
   return RepairTableMulti(*job.table, job.constraints, opts, job.cost);
 }
 

@@ -30,8 +30,8 @@ inline constexpr uint64_t kAutoJobId = ~uint64_t{0};
 /// the Run call; the scheduler never copies the data.
 struct RepairJob {
   const dataset::Table* table = nullptr;
-  /// One constraint runs the single-constraint repair path; several run
-  /// RepairTableMulti over their union.
+  /// Every job runs RepairTableMulti over these constraints; one
+  /// constraint is exactly RepairTable.
   std::vector<CiConstraint> constraints;
   /// Per-job solver configuration. `options.{fast,qclp}.thread_pool` must
   /// stay null — the scheduler dispatches every job on its one shared pool

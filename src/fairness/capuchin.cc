@@ -1,7 +1,5 @@
 #include "fairness/capuchin.h"
 
-#include <cassert>
-
 #include "nmf/frobenius_nmf.h"
 #include "prob/independence.h"
 
@@ -72,66 +70,6 @@ Result<prob::JointDistribution> CapuchinTarget(
     return prob::CiProjection(p, ci);
   }
   return MatrixFactorizationTarget(p, ci, nmf_max_iterations, rng);
-}
-
-Result<dataset::Table> CapuchinRepair(const dataset::Table& table,
-                                      const core::CiConstraint& constraint,
-                                      const CapuchinOptions& options) {
-  const dataset::Schema& schema = table.schema();
-  OTCLEAN_ASSIGN_OR_RETURN(std::vector<size_t> u_cols,
-                           constraint.ResolveColumns(schema));
-  const prob::Domain u_dom = schema.ToDomain(u_cols);
-  const prob::JointDistribution p = table.Empirical(u_cols);
-  if (p.Mass() <= 0.0) {
-    return Status::InvalidArgument("CapuchinRepair: no complete rows");
-  }
-  const prob::CiSpec spec = constraint.SpecInProjectedDomain();
-
-  Rng rng(options.seed);
-  OTCLEAN_ASSIGN_OR_RETURN(
-      prob::JointDistribution q,
-      CapuchinTarget(p, spec, options.method, options.nmf_max_iterations,
-                     rng));
-
-  // Materialize: for each row, keep X (sensitive) and Z (admissible) and
-  // resample the Y attributes from the target conditional Q(Y | X, Z) — for
-  // a CI-consistent Q this equals Q(Y | Z), which removes exactly the
-  // X→Y dependence the constraint forbids while preserving every other
-  // attribute (and hence the admissible↔label relationships).
-  const prob::Domain y_dom = u_dom.Project(spec.y);
-  const size_t num_y_cells = y_dom.TotalSize();
-  dataset::Table out(schema);
-  std::vector<double> weights(num_y_cells, 0.0);
-  std::vector<int> u_values(u_cols.size(), 0);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    std::vector<int> row = table.Row(r);
-    bool complete = true;
-    for (size_t i = 0; i < u_cols.size(); ++i) {
-      u_values[i] = row[u_cols[i]];
-      if (u_values[i] == dataset::kMissing) complete = false;
-    }
-    if (complete) {
-      // Conditional over Y cells with this row's X and Z fixed.
-      double total = 0.0;
-      for (size_t yc = 0; yc < num_y_cells; ++yc) {
-        const std::vector<int> yv = y_dom.Decode(yc);
-        for (size_t i = 0; i < spec.y.size(); ++i) {
-          u_values[spec.y[i]] = yv[i];
-        }
-        weights[yc] = q[u_dom.Encode(u_values)];
-        total += weights[yc];
-      }
-      if (total > 0.0) {
-        const std::vector<int> yv =
-            y_dom.Decode(rng.NextCategorical(weights));
-        for (size_t i = 0; i < spec.y.size(); ++i) {
-          row[u_cols[spec.y[i]]] = yv[i];
-        }
-      }
-    }
-    OTCLEAN_RETURN_NOT_OK(out.AppendRow(row));
-  }
-  return out;
 }
 
 }  // namespace otclean::fairness

@@ -3,8 +3,6 @@
 
 #include "common/random.h"
 #include "common/result.h"
-#include "core/ci_constraint.h"
-#include "dataset/table.h"
 #include "prob/independence.h"
 #include "prob/joint.h"
 
@@ -13,9 +11,11 @@ namespace otclean::fairness {
 /// Capuchin-style database-repair baselines (Salimi et al., SIGMOD 2019)
 /// for a CI constraint σ : X ⟂ Y | Z. Both methods construct a
 /// CI-consistent target distribution Q over the constraint attributes
-/// U = X∪Y∪Z and materialize a repaired table of the same size by keeping
-/// each row's X and Z and resampling its Y attributes from Q(Y | X, Z)
-/// (= Q(Y | Z) for CI-consistent Q).
+/// U = X∪Y∪Z; the repair keeps each row's X and Z and resamples its Y
+/// attributes from Q(Y | X, Z) (= Q(Y | Z) for CI-consistent Q). That
+/// repair runs through core::OtCleanRepairer / core::RepairTable with
+/// Solver::kCapuchinIC or kCapuchinMF, which wrap Q in a transport plan so
+/// the baselines fit, apply and report exactly like the OT solvers.
 enum class CapuchinMethod {
   /// Cap(IC): the target is the product of the *initial* distribution's
   /// conditional marginals, Q(x,y|z) = P(x|z)·P(y|z).
@@ -25,30 +25,14 @@ enum class CapuchinMethod {
   kMatrixFactorization,
 };
 
-struct CapuchinOptions {
-  CapuchinMethod method = CapuchinMethod::kIndependentCoupling;
-  /// NMF iteration budget (Cap(MF) only).
-  size_t nmf_max_iterations = 500;
-  uint64_t seed = 99;
-};
-
 /// Builds the CI-consistent Capuchin target distribution Q for `p` under
 /// `ci` with the selected method: Cap(IC) is the I-projection onto the CI
 /// manifold (product of conditional marginals); Cap(MF) replaces each
 /// z-slice by its rank-one Frobenius NMF (consuming `rng`, Cap(MF) only).
-/// This is the shared target-construction step — CapuchinRepair resamples
-/// from it directly, and the repair layer (core/repair.h) wraps it in a
-/// TransportPlan so fairness baselines report through the same plan-based
-/// machinery as the OT solvers.
+/// The repair layer (core/repair.h) turns it into the plan it applies.
 Result<prob::JointDistribution> CapuchinTarget(
     const prob::JointDistribution& p, const prob::CiSpec& ci,
     CapuchinMethod method, size_t nmf_max_iterations, Rng& rng);
-
-/// Repairs `table` to satisfy `constraint` with the selected Capuchin
-/// method. The output has the same schema and row count.
-Result<dataset::Table> CapuchinRepair(const dataset::Table& table,
-                                      const core::CiConstraint& constraint,
-                                      const CapuchinOptions& options = {});
 
 }  // namespace otclean::fairness
 

@@ -188,30 +188,62 @@ TEST(MultiCleanTest, RepairTableMultiReducesBothCmis) {
             core::TableCmi(table, c2).value());
 }
 
+/// Every field of two repair reports, the repaired tables included, is
+/// bit-identical.
+void ExpectSameReport(const core::RepairReport& a,
+                      const core::RepairReport& b) {
+  EXPECT_TRUE(a.repaired.SameContents(b.repaired));
+  EXPECT_EQ(a.initial_cmi, b.initial_cmi);
+  EXPECT_EQ(a.final_cmi, b.final_cmi);
+  EXPECT_EQ(a.target_cmi, b.target_cmi);
+  EXPECT_EQ(a.transport_cost, b.transport_cost);
+  EXPECT_EQ(a.outer_iterations, b.outer_iterations);
+  EXPECT_EQ(a.total_sinkhorn_iterations, b.total_sinkhorn_iterations);
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.plan_sparse, b.plan_sparse);
+  EXPECT_EQ(a.plan_nnz, b.plan_nnz);
+  EXPECT_EQ(a.plan_memory_bytes, b.plan_memory_bytes);
+  EXPECT_EQ(a.kernel_nnz, b.kernel_nnz);
+  EXPECT_STREQ(a.simd_isa, b.simd_isa);
+  EXPECT_STREQ(a.sinkhorn_domain, b.sinkhorn_domain);
+  EXPECT_EQ(a.cache_kernel_hits, b.cache_kernel_hits);
+  EXPECT_EQ(a.cache_kernel_misses, b.cache_kernel_misses);
+  EXPECT_STREQ(a.precision, b.precision);
+  EXPECT_STREQ(a.termination, b.termination);
+  EXPECT_EQ(a.retry_attempts, b.retry_attempts);
+  EXPECT_EQ(a.recovery, b.recovery);
+}
+
 TEST(MultiCleanTest, RepairTableMultiValidates) {
   datagen::ScalingDatasetOptions gen;
   gen.num_rows = 100;
   const auto table = datagen::MakeScalingDataset(gen).value();
   EXPECT_FALSE(core::RepairTableMulti(table, {}).ok());
   const core::CiConstraint c({"x"}, {"y"}, {"z0"});
+  const core::CiConstraint c2({"x"}, {"z0"});
 
-  // Unsupported combinations are loud InvalidArgument errors, not a silent
-  // fall-through to the saturated FastOTClean path. The fairness baselines
-  // are single-constraint by construction (kQclp is accepted since the
-  // shared-engine port — see MultiQclpMatchesSingleQclp in qclp_test.cc).
+  // Unsupported multi-constraint combinations are loud InvalidArgument
+  // errors, not a silent fall-through to a single-constraint solve. The
+  // fairness baselines are single-constraint by construction (kQclp is
+  // accepted since the shared-engine port — see MultiQclpMatchesSingleQclp
+  // in qclp_test.cc). With one constraint both run, as RepairTable.
   core::RepairOptions cap_opts;
   cap_opts.solver = core::Solver::kCapuchinIC;
-  const auto cap = core::RepairTableMulti(table, {c}, cap_opts);
+  const auto cap = core::RepairTableMulti(table, {c, c2}, cap_opts);
   EXPECT_EQ(cap.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(cap.status().message().find("single-constraint"),
             std::string::npos);
+  ExpectSameReport(core::RepairTableMulti(table, {c}, cap_opts).value(),
+                   core::RepairTable(table, c, cap_opts).value());
 
   core::RepairOptions naive_opts;
   naive_opts.use_saturation = false;
-  const auto naive = core::RepairTableMulti(table, {c}, naive_opts);
+  const auto naive = core::RepairTableMulti(table, {c, c2}, naive_opts);
   EXPECT_EQ(naive.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(naive.status().message().find("use_saturation"),
             std::string::npos);
+  ExpectSameReport(core::RepairTableMulti(table, {c}, naive_opts).value(),
+                   core::RepairTable(table, c, naive_opts).value());
 }
 
 TEST(MultiCleanTest, SingleConstraintMultiMatchesSingleApi) {
@@ -227,8 +259,40 @@ TEST(MultiCleanTest, SingleConstraintMultiMatchesSingleApi) {
   opts.seed = 77;
   const auto single = core::RepairTable(table, c, opts).value();
   const auto multi = core::RepairTableMulti(table, {c}, opts).value();
-  EXPECT_NEAR(single.target_cmi, multi.target_cmi, 1e-8);
-  EXPECT_NEAR(single.transport_cost, multi.transport_cost, 1e-6);
+  ExpectSameReport(single, multi);
+}
+
+TEST(MultiCleanTest, MultiRepairerFitApplyReproducesRepairTableMulti) {
+  // RepairTableMulti is a fitted OtCleanRepairer applied with the one
+  // apply seed, whatever the number of constraints.
+  datagen::ScalingDatasetOptions gen;
+  gen.num_rows = 600;
+  gen.num_z_attrs = 2;
+  gen.z_card = 2;
+  gen.num_w_attrs = 1;
+  gen.w_card = 2;
+  gen.violation = 0.7;
+  gen.seed = 10;
+  const auto table = datagen::MakeScalingDataset(gen).value();
+  const std::vector<core::CiConstraint> constraints = {
+      core::CiConstraint({"x"}, {"y"}, {"z0", "z1"}),
+      core::CiConstraint({"x"}, {"w0"})};
+  core::RepairOptions opts;
+  opts.seed = 78;
+  opts.fast.max_outer_iterations = 20;
+  const auto report = core::RepairTableMulti(table, constraints, opts).value();
+
+  core::OtCleanRepairer repairer(constraints, opts);
+  ASSERT_TRUE(repairer.Fit(table).ok());
+  EXPECT_EQ(repairer.CleanedDomain().num_attrs(), 5u);  // x, y, z0, z1, w0
+  Rng rng(opts.seed ^ 0xabcdef12345ull);
+  const auto repaired = repairer.Apply(table, rng).value();
+  EXPECT_TRUE(repaired.SameContents(report.repaired));
+  EXPECT_EQ(repairer.fit_report().initial_cmi, report.initial_cmi);
+  EXPECT_EQ(repairer.fit_report().target_cmi, report.target_cmi);
+  EXPECT_EQ(repairer.fit_report().transport_cost, report.transport_cost);
+  EXPECT_EQ(repairer.fit_report().total_sinkhorn_iterations,
+            report.total_sinkhorn_iterations);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include "datagen/datasets.h"
 #include "datagen/synthetic.h"
 #include "fairness/cap_maxsat.h"
-#include "fairness/capuchin.h"
 #include "fairness/maxsat.h"
 #include "fairness/metrics.h"
 
@@ -104,12 +103,22 @@ TEST(FairnessMetricsTest, ValidatesInputs) {
 
 // -------------------------------------------------------------- Capuchin --
 
+/// The Capuchin baselines repair through the core plan-based pipeline.
+core::RepairOptions BaselineOptions(core::Solver solver) {
+  core::RepairOptions opts;
+  opts.solver = solver;
+  opts.seed = 99;
+  return opts;
+}
+
 TEST(CapuchinTest, IcRepairReducesCmi) {
   const auto bundle = datagen::MakeCompas(3000, 7).value();
   const double before = core::TableCmi(bundle.table, bundle.constraint).value();
-  CapuchinOptions opts;
-  opts.method = CapuchinMethod::kIndependentCoupling;
-  const auto repaired = CapuchinRepair(bundle.table, bundle.constraint, opts).value();
+  const auto repaired =
+      core::RepairTable(bundle.table, bundle.constraint,
+                        BaselineOptions(core::Solver::kCapuchinIC))
+          .value()
+          .repaired;
   const double after = core::TableCmi(repaired, bundle.constraint).value();
   EXPECT_GT(before, 0.01);
   EXPECT_LT(after, before * 0.5);
@@ -119,9 +128,11 @@ TEST(CapuchinTest, IcRepairReducesCmi) {
 TEST(CapuchinTest, MfRepairReducesCmi) {
   const auto bundle = datagen::MakeCompas(3000, 8).value();
   const double before = core::TableCmi(bundle.table, bundle.constraint).value();
-  CapuchinOptions opts;
-  opts.method = CapuchinMethod::kMatrixFactorization;
-  const auto repaired = CapuchinRepair(bundle.table, bundle.constraint, opts).value();
+  const auto repaired =
+      core::RepairTable(bundle.table, bundle.constraint,
+                        BaselineOptions(core::Solver::kCapuchinMF))
+          .value()
+          .repaired;
   const double after = core::TableCmi(repaired, bundle.constraint).value();
   EXPECT_LT(after, before * 0.5);
 }
@@ -129,7 +140,10 @@ TEST(CapuchinTest, MfRepairReducesCmi) {
 TEST(CapuchinTest, PreservesSchemaAndLabel) {
   const auto bundle = datagen::MakeCompas(500, 9).value();
   const auto repaired =
-      CapuchinRepair(bundle.table, bundle.constraint).value();
+      core::RepairTable(bundle.table, bundle.constraint,
+                        BaselineOptions(core::Solver::kCapuchinIC))
+          .value()
+          .repaired;
   EXPECT_EQ(repaired.num_columns(), bundle.table.num_columns());
   // Label column untouched (not part of the constraint).
   const auto label = repaired.schema().ColumnIndex(bundle.label_col).value();

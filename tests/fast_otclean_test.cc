@@ -174,6 +174,47 @@ TEST(FastOtCleanTest, IterativeNmfMatchesClosedForm) {
   EXPECT_NEAR(a.transport_cost, b.transport_cost, 0.05);
 }
 
+TEST(FastOtCleanTest, MultiHonoursIterativeNmfForOneSpec) {
+  // FastOtCleanMulti with one spec is FastOtClean bit for bit on the
+  // iterative-NMF path too (FastOtClean's is pinned by kernel_golden_test);
+  // it used to fall back to the closed form silently.
+  const auto p = MakeViolated(17);
+  const CiSpec ci{{0}, {1}, {2}};
+  ot::EuclideanCost cost(3);
+  FastOtCleanOptions opts = DefaultOptions();
+  opts.iterative_nmf = true;
+  opts.nmf_max_iterations = 50;
+  opts.max_outer_iterations = 12;
+  Rng r1(18), r2(18);
+  const auto single = FastOtClean(p, ci, cost, opts, r1).value();
+  const auto multi = FastOtCleanMulti(p, {ci}, cost, opts, r2).value();
+  EXPECT_EQ(single.plan.Densify().data(), multi.plan.Densify().data());
+  EXPECT_EQ(single.objective_trace, multi.objective_trace);
+  EXPECT_EQ(single.transport_cost, multi.transport_cost);
+  EXPECT_EQ(single.target_cmi, multi.target_cmi);
+  EXPECT_EQ(single.outer_iterations, multi.outer_iterations);
+  EXPECT_EQ(single.total_sinkhorn_iterations,
+            multi.total_sinkhorn_iterations);
+
+  // The closed form differs, so the flag was really honoured.
+  opts.iterative_nmf = false;
+  Rng r3(18);
+  const auto closed = FastOtCleanMulti(p, {ci}, cost, opts, r3).value();
+  EXPECT_NE(closed.objective_trace, multi.objective_trace);
+}
+
+TEST(FastOtCleanTest, MultiRejectsIterativeNmfWithTwoSpecs) {
+  const auto p = MakeViolated(19);
+  ot::EuclideanCost cost(3);
+  FastOtCleanOptions opts = DefaultOptions();
+  opts.iterative_nmf = true;
+  Rng rng(20);
+  const auto r = FastOtCleanMulti(p, {{{0}, {1}, {2}}, {{0}, {2}, {}}}, cost,
+                                  opts, rng);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("iterative_nmf"), std::string::npos);
+}
+
 TEST(FastOtCleanTest, SoftCiStrengthTradesOffCmi) {
   const auto p = MakeViolated(16);
   const CiSpec ci{{0}, {1}, {2}};

@@ -8,7 +8,6 @@
 #include "cleaning/noise.h"
 #include "core/repair.h"
 #include "datagen/datasets.h"
-#include "fairness/capuchin.h"
 #include "fairness/metrics.h"
 #include "metric/mlkr.h"
 #include "ml/cross_validation.h"
@@ -179,10 +178,11 @@ TEST(IntegrationTest, OtcleanPreservesDistributionBetterThanCapuchin) {
   const auto u_cols = bundle.constraint.ResolveColumns(t.schema()).value();
 
   const auto ot_repair = core::RepairTable(t, bundle.constraint).value();
-  fairness::CapuchinOptions cap_opts;
-  cap_opts.method = fairness::CapuchinMethod::kIndependentCoupling;
+  core::RepairOptions cap_opts;
+  cap_opts.solver = core::Solver::kCapuchinIC;
+  cap_opts.seed = 99;
   const auto cap_repair =
-      fairness::CapuchinRepair(t, bundle.constraint, cap_opts).value();
+      core::RepairTable(t, bundle.constraint, cap_opts).value().repaired;
 
   const auto p0 = t.Empirical(u_cols);
   const auto p_ot = ot_repair.repaired.Empirical(u_cols);

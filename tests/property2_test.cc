@@ -6,7 +6,6 @@
 #include "dataset/csv.h"
 #include "datagen/datasets.h"
 #include "datagen/synthetic.h"
-#include "fairness/capuchin.h"
 #include "nmf/kl_nmf.h"
 #include "ot/cost.h"
 
@@ -157,15 +156,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 // -------------------------------------------- Capuchin invariants sweep ---
 
-class CapuchinInvariants
-    : public ::testing::TestWithParam<fairness::CapuchinMethod> {};
+class CapuchinInvariants : public ::testing::TestWithParam<core::Solver> {};
 
 TEST_P(CapuchinInvariants, KeepsXAndZColumnsIntact) {
   const auto bundle = datagen::MakeCompas(1500, 11).value();
-  fairness::CapuchinOptions opts;
-  opts.method = GetParam();
+  core::RepairOptions opts;
+  opts.solver = GetParam();
+  opts.seed = 99;
   const auto repaired =
-      fairness::CapuchinRepair(bundle.table, bundle.constraint, opts).value();
+      core::RepairTable(bundle.table, bundle.constraint, opts)
+          .value()
+          .repaired;
   const auto& schema = bundle.table.schema();
   // X (sensitive) and Z (admissible) untouched per row.
   std::vector<size_t> fixed_cols;
@@ -182,8 +183,7 @@ TEST_P(CapuchinInvariants, KeepsXAndZColumnsIntact) {
 
 INSTANTIATE_TEST_SUITE_P(
     Methods, CapuchinInvariants,
-    ::testing::Values(fairness::CapuchinMethod::kIndependentCoupling,
-                      fairness::CapuchinMethod::kMatrixFactorization));
+    ::testing::Values(core::Solver::kCapuchinIC, core::Solver::kCapuchinMF));
 
 // ------------------------------------------------- KL-NMF rank-one sweep --
 

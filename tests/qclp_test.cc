@@ -134,21 +134,6 @@ TEST(QclpTest, RestrictColumnsShrinksPlan) {
   EXPECT_EQ(r.plan.col_cells().size(), 3u);
 }
 
-TEST(QclpTest, RejectsLogDomainRequestLoudly) {
-  // The QCLP path solves LPs and never iterates Sinkhorn; a log-domain
-  // request cannot be honored and must fail loudly instead of silently
-  // no-opping (the PR 5 silently-ignored-options precedent).
-  const auto p = MakeD2();
-  const CiSpec ci{{1}, {2}, {0}};
-  ot::EuclideanCost cost(3);
-  QclpOptions opts;
-  opts.log_domain = true;
-  const auto r = QclpClean(p, ci, cost, opts);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("log_domain"), std::string::npos);
-}
-
 TEST(QclpTest, MultiQclpMatchesSingleQclp) {
   // QclpClean is a thin wrapper over QclpCleanMulti: a singleton saturated
   // spec must take the identical alternation path — same cost, same target,

@@ -27,10 +27,7 @@
 //                          (default 0 = dense kernel; fast solver only)
 //   --log-domain           iterate Sinkhorn on log-potentials (stable at
 //                          small --epsilon / huge penalty costs; composes
-//                          with --truncation; fast solver only — the qclp
-//                          solver never iterates Sinkhorn and rejects the
-//                          flag with InvalidArgument instead of silently
-//                          ignoring it)
+//                          with --truncation; fast solver only)
 //   --precision f32|f64    kernel storage precision (default f64): f32
 //                          halves kernel memory traffic, accumulates in
 //                          double, and keeps the f64 plan structure
@@ -47,6 +44,11 @@
 //                          more times with safer settings: log-domain
 //                          first, then doubled epsilon (default 0 = fail
 //                          on the first attempt; fast solver only)
+//
+// The "fast solver only" settings are rejected with InvalidArgument (exit
+// 1) when another solver is selected — as flags or as manifest keys, and
+// before any input is read — rather than silently ignored: --log-domain,
+// --truncation > 0, --precision f32 and --retries > 0.
 //
 // Batch mode:
 //   --batch PATH           manifest with one job per line; '#' starts a
@@ -234,7 +236,6 @@ Result<core::RepairOptions> BuildRepairOptions(const KvLookup& kv,
   OTCLEAN_ASSIGN_OR_RETURN(const bool log_domain,
                            ParseBool(kv.Get("log-domain"), default_log_domain));
   options.fast.log_domain = log_domain;
-  options.qclp.log_domain = log_domain;
   const std::string precision = kv.Get("precision", "f64");
   if (precision == "f32") {
     options.fast.precision = linalg::Precision::kFloat32;
@@ -247,6 +248,25 @@ Result<core::RepairOptions> BuildRepairOptions(const KvLookup& kv,
     return Status::InvalidArgument("bad retries");
   }
   options.retry.max_attempts = static_cast<size_t>(*retries) + 1;
+  // The Sinkhorn and retry settings only change a fast solve; every other
+  // solver would run as if they were unset, so they are rejected instead.
+  if (options.solver != core::Solver::kFastOtClean) {
+    const char* ignored = nullptr;
+    if (log_domain) {
+      ignored = "log-domain";
+    } else if (*cutoff > 0.0) {
+      ignored = "truncation";
+    } else if (precision == "f32") {
+      ignored = "precision f32";
+    } else if (*retries > 0) {
+      ignored = "retries";
+    }
+    if (ignored != nullptr) {
+      return Status::InvalidArgument(
+          std::string(ignored) + " applies to solver fast only; solver '" +
+          solver + "' would silently ignore it");
+    }
+  }
   options.fast.restrict_columns_to_active = true;
   options.fast.max_outer_iterations = 60;
   options.fast.max_sinkhorn_iterations = 1000;
@@ -405,6 +425,18 @@ int RunBatch(const CliArgs& args, const std::string& manifest_path,
 
     const std::string input = kv.Get("input");
     if (input.empty()) return Fail("input= is required" + at);
+    core::RepairJob job;
+    // The line's options are validated before its input is read.
+    auto constraint = BuildConstraint(kv);
+    if (!constraint.ok()) return Fail(constraint.status().ToString() + at);
+    auto options = BuildRepairOptions(kv, args.map_repair, args.log_domain);
+    if (!options.ok()) return Fail(options.status().ToString() + at);
+    job.options = std::move(options).value();
+    auto deadline_ms = ParseDeadlineMillis(kv);
+    if (!deadline_ms.ok()) return Fail(deadline_ms.status().ToString() + at);
+    if (*deadline_ms > 0) {
+      job.deadline_seconds = static_cast<double>(*deadline_ms) / 1000.0;
+    }
     const std::string canonical = CanonicalPath(input);
     auto table_slot = tables.find(canonical);
     if (table_slot == tables.end()) {
@@ -416,21 +448,9 @@ int RunBatch(const CliArgs& args, const std::string& manifest_path,
     } else {
       ++table_hits;
     }
-
-    core::RepairJob job;
     // std::map never moves its values, so the pointer stays valid while
     // later lines grow the cache.
     job.table = &table_slot->second;
-    auto constraint = BuildConstraint(kv);
-    if (!constraint.ok()) return Fail(constraint.status().ToString() + at);
-    auto options = BuildRepairOptions(kv, args.map_repair, args.log_domain);
-    if (!options.ok()) return Fail(options.status().ToString() + at);
-    job.options = std::move(options).value();
-    auto deadline_ms = ParseDeadlineMillis(kv);
-    if (!deadline_ms.ok()) return Fail(deadline_ms.status().ToString() + at);
-    if (*deadline_ms > 0) {
-      job.deadline_seconds = static_cast<double>(*deadline_ms) / 1000.0;
-    }
     job.name = kv_line.count("name") ? kv_line["name"]
                                      : constraint->ToString();
     job.constraints = {std::move(constraint).value()};
@@ -589,15 +609,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto table = dataset::ReadCsv(input);
-  if (!table.ok()) return Fail(table.status().ToString());
-
+  // Validate every option before reading the input, so a bad flag fails
+  // without touching the file.
   auto constraint = BuildConstraint(kv);
   if (!constraint.ok()) return Fail(constraint.status().ToString());
   auto options = BuildRepairOptions(kv, args.map_repair, args.log_domain);
   if (!options.ok()) return Fail(options.status().ToString());
   auto deadline_ms = ParseDeadlineMillis(kv);
   if (!deadline_ms.ok()) return Fail(deadline_ms.status().ToString());
+  auto table = dataset::ReadCsv(input);
+  if (!table.ok()) return Fail(table.status().ToString());
   if (*deadline_ms > 0) {
     // One deadline, every solver family: whichever path --solver picked
     // polls the same budget.
