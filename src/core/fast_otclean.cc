@@ -467,10 +467,12 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
       q_proj.Normalize();
     }
 
+    // Converged only when both loops are: a small ΔQ after inexact inner
+    // sweeps (cold-started ones especially) can be a stall, not a solution.
     const double delta = q.TotalVariation(q_proj);
     q = std::move(q_proj);
     result.outer_iterations = outer + 1;
-    if (delta <= options.outer_tolerance) {
+    if (delta <= options.outer_tolerance && sr.converged) {
       result.converged = true;
       break;
     }

@@ -29,13 +29,26 @@ struct FastOtCleanOptions {
   /// the CI set each outer step (the μ→∞ limit of Eq. 11), smaller values
   /// blend the projection with the raw target marginal.
   double ci_strength = 1.0;
-  size_t max_outer_iterations = 300;
+  /// Outer (Algorithm 2) steps before the run stops unconverged.
+  size_t max_outer_iterations = 5000;
   /// Outer convergence threshold: total-variation change of Q.
   double outer_tolerance = 1e-8;
-  /// Sinkhorn sub-solver budget per outer step.
-  size_t max_sinkhorn_iterations = 5000;
-  double sinkhorn_tolerance = 1e-9;
-  /// Section 5: reuse scaling vectors across outer steps.
+  /// Sinkhorn sweeps per outer step. Algorithm 2 alternates blocks, so
+  /// by default each step runs a few warm-started sweeps against a target
+  /// Q the next projection replaces anyway, not a full inner solve; ask
+  /// for exact inner solves with a large budget and a tight tolerance
+  /// (e.g. 5000 and 1e-9).
+  size_t max_sinkhorn_iterations = 5;
+  /// Inner stopping threshold on the scale-free change of the scalings
+  /// (relative per entry linearly, absolute on log-potentials; see
+  /// ot::SinkhornOptions::tolerance). A step whose sweeps end above it is
+  /// an inexact inner solve, and the run cannot report `converged` until
+  /// the last step's sweeps meet it.
+  double sinkhorn_tolerance = 1e-6;
+  /// Section 5: reuse scaling vectors across outer steps. Without it every
+  /// step starts cold, so a few sweeps never meet `sinkhorn_tolerance` and
+  /// the run ends at `max_outer_iterations`, unconverged — cold-started
+  /// runs need an inner budget that solves each step on its own.
   bool warm_start = true;
   /// Section 5: initialize Q by the CI projection (NMF) of P_D instead of a
   /// random distribution.
@@ -126,6 +139,9 @@ struct FastOtCleanResult {
   size_t outer_iterations = 0;
   /// Total inner Sinkhorn iterations across all outer steps (Fig. 11b).
   size_t total_sinkhorn_iterations = 0;
+  /// Both loops met their tolerances: the last outer step moved Q by at
+  /// most `outer_tolerance` AND its inner sweeps met `sinkhorn_tolerance`.
+  /// A small ΔQ alone proves nothing when the inner solves stop short.
   bool converged = false;
   /// CMI of the target w.r.t. the constraint (should be ~0).
   double target_cmi = 0.0;

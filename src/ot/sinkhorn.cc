@@ -33,8 +33,9 @@ double RelaxedExponent(const SinkhornOptions& options) {
 /// half-iteration updates and change metric. `row_update(v, new_u)` writes
 /// the next row potential from the current column potential (including any
 /// relaxed exponent and clamping); `col_update(new_u, new_v)` the
-/// converse; `delta(a, b)` measures the max-change between successive
-/// potentials.
+/// converse; `delta(a, b)` measures the scale-free max-change between
+/// successive potentials (relative for scalings, absolute for
+/// log-potentials), the one residual `options.tolerance` bounds.
 /// A non-OK return means the solve was aborted by `options.cancel_token`
 /// or `options.deadline` — the stop is checked once per iteration, before
 /// the half-updates, so an abort never leaves a half-applied iteration
@@ -66,23 +67,32 @@ Status RunScalingLoop(linalg::Vector& u, linalg::Vector& v,
   return Status::OK();
 }
 
-/// Max-change ‖a − b‖∞ between successive linear scalings, fused so the
-/// per-iteration check allocates nothing. Bit-identical to
-/// (a - b).NormInf(): the same differences, max-reduced in the same order.
+/// Max relative change max_i |a_i − b_i| / b_i of the new linear scalings
+/// `a` against the previous `b` — the linear-domain reading of the log
+/// domain's potential change |log a_i − log b_i|, so both domains stop at
+/// the same point and neither depends on the scalings' magnitude (they
+/// range from ~1e-12 to the 1e150 clamp). Two zeros are an unchanged
+/// "no mass" state (Δ = 0); a zero on one side only is mass appearing or
+/// disappearing, an infinite change (as LogPotentialDelta treats −inf).
 double ScalingDelta(const linalg::Vector& a, const linalg::Vector& b) {
   double d = 0.0;
   for (size_t i = 0; i < a.size(); ++i) {
-    d = std::max(d, std::fabs(a[i] - b[i]));
+    if (a[i] == b[i]) continue;  // equal scalings, and 0 vs 0
+    if (a[i] == 0.0 || b[i] == 0.0) {
+      return std::numeric_limits<double>::infinity();
+    }
+    d = std::max(d, std::fabs(a[i] - b[i]) / b[i]);
   }
   return d;
 }
 
-/// Max-change between successive LOG-potential vectors. Two −inf entries
-/// are an unchanged "no mass" state (Δ = 0 for that coordinate), but a
-/// potential flipping between finite and −inf — mass appearing or
-/// disappearing under relaxed mode — is a real, infinite change: it must
-/// read as Δ = ∞, never be skipped, or the loop reports convergence in
-/// the very iteration the support changed.
+/// Max-change between successive LOG-potential vectors — scale-free as it
+/// stands: a multiplicative change of the scalings is an additive one
+/// here. Two −inf entries are an unchanged "no mass" state (Δ = 0 for
+/// that coordinate), but a potential flipping between finite and −inf —
+/// mass appearing or disappearing under relaxed mode — is a real,
+/// infinite change: it must read as Δ = ∞, never be skipped, or the loop
+/// reports convergence in the very iteration the support changed.
 double LogPotentialDelta(const linalg::Vector& a, const linalg::Vector& b) {
   double d = 0.0;
   for (size_t i = 0; i < a.size(); ++i) {

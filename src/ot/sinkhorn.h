@@ -46,8 +46,13 @@ struct SinkhornOptions {
   /// scalings.
   bool log_domain = false;
   size_t max_iterations = 20000;
-  /// Convergence threshold on the max-change of the scaling vectors
-  /// (log-domain mode: of the log-potentials).
+  /// Convergence threshold on one scale-free residual, the same in every
+  /// domain, precision and storage: the max relative change of the scaling
+  /// vectors between iterations, max_i |u'_i − u_i| / u_i (log-domain
+  /// mode: the max absolute change of the log-potentials, its first-order
+  /// equal). Rescaling the marginals leaves it unchanged, and a scaling
+  /// switching between zero and nonzero (−inf and finite) reads as an
+  /// infinite change.
   double tolerance = 1e-10;
   /// Worker threads for the kernel primitives (row-blocked). 0 = hardware
   /// concurrency, 1 = serial. Results are bit-compatible across thread
@@ -134,7 +139,11 @@ struct SinkhornScaling {
 /// when null they start at all-ones. Both RunSinkhorn and
 /// RunSinkhornSparse delegate here — call it directly when you build the
 /// kernel once and reuse it across solves (e.g. warm-started outer
-/// loops). Errors on marginal / kernel dimension mismatch, on negative or
+/// loops). The loop stops once no scaling entry changed by more than
+/// `options.tolerance` relative to its previous value (`converged`), or
+/// after `options.max_iterations` sweeps — a warm-started outer loop may
+/// run a few sweeps per call and read `converged` to learn whether they
+/// settled. Errors on marginal / kernel dimension mismatch, on negative or
 /// non-finite marginal entries, and on options ValidateSinkhornOptions
 /// rejects. The loop runs under linalg::ScopedFlushSubnormals (fp_env.h),
 /// on the calling thread and on any pool workers it dispatches to; the
@@ -159,9 +168,11 @@ struct SinkhornLogScaling {
 /// CSR — every storage optimization of the linear kernels applies).
 /// `warm_lu` / `warm_lv` are LOG-potentials (sizes must match; −inf
 /// entries allowed); null starts from all-zeros (= all-ones scalings).
-/// Convergence measures the max-change of the log-potentials, and a
-/// potential flipping between finite and −inf counts as an infinite
-/// change — the loop cannot report convergence across such a flip.
+/// Convergence measures the max absolute change of the log-potentials,
+/// to first order RunSinkhornScaling's relative scaling change, so one
+/// tolerance stops both domains at the same sweep. A potential flipping
+/// between finite and −inf counts as an infinite change — the loop
+/// cannot report convergence across such a flip.
 /// Errors, and flushes subnormals, exactly as RunSinkhornScaling does.
 Result<SinkhornLogScaling> RunSinkhornLogScaling(
     const linalg::LogTransportKernel& kernel, const linalg::Vector& p,

@@ -50,7 +50,10 @@ TEST(FastOtCleanTest, TargetSatisfiesCiOnD2) {
   const CiSpec ci{{1}, {2}, {}};  // Y ⟂ Z
   ot::EuclideanCost cost(3);
   Rng rng(1);
-  const auto r = FastOtClean(p, ci, cost, DefaultOptions(), rng).value();
+  // A step is a few inner sweeps, so the step budget is the library's.
+  FastOtCleanOptions opts = DefaultOptions();
+  opts.max_outer_iterations = FastOtCleanOptions{}.max_outer_iterations;
+  const auto r = FastOtClean(p, ci, cost, opts, rng).value();
   EXPECT_LT(r.target_cmi, 1e-6);
   EXPECT_TRUE(r.converged);
 }
@@ -145,18 +148,49 @@ TEST(FastOtCleanTest, NmfInitConvergesFasterThanRandom) {
 }
 
 TEST(FastOtCleanTest, WarmStartReducesTotalSinkhornIterations) {
-  // Section 5 / Fig. 11b.
+  // Section 5 / Fig. 11b, which solves every inner problem exactly.
   const auto p = MakeViolated(14);
   const CiSpec ci{{0}, {1}, {2}};
   ot::EuclideanCost cost(3);
   FastOtCleanOptions warm = DefaultOptions();
+  warm.max_sinkhorn_iterations = 5000;
+  warm.sinkhorn_tolerance = 1e-9;
   warm.warm_start = true;
-  FastOtCleanOptions cold = DefaultOptions();
+  FastOtCleanOptions cold = warm;
   cold.warm_start = false;
   Rng r1(9), r2(9);
   const auto a = FastOtClean(p, ci, cost, warm, r1).value();
   const auto b = FastOtClean(p, ci, cost, cold, r2).value();
   EXPECT_LT(a.total_sinkhorn_iterations, b.total_sinkhorn_iterations);
+}
+
+TEST(FastOtCleanTest, ColdStartedSweepsNeverReportConverged) {
+  // Five cold sweeps per step never solve an inner problem; their ΔQ can
+  // still settle (at cost 0.0149 here, far from the answer), so a ΔQ test
+  // alone would report a wrong plan as converged.
+  const auto p = MakeViolated(14);
+  const CiSpec ci{{0}, {1}, {2}};
+  ot::EuclideanCost cost(3);
+  FastOtCleanOptions opts = DefaultOptions();
+  opts.max_outer_iterations = FastOtCleanOptions{}.max_outer_iterations;
+  opts.warm_start = false;
+  Rng r1(9);
+  EXPECT_FALSE(FastOtClean(p, ci, cost, opts, r1).value().converged);
+
+  // Warm-started, the same sweeps converge to the exact-inner answer.
+  opts.warm_start = true;
+  Rng r2(9);
+  const auto warm = FastOtClean(p, ci, cost, opts, r2).value();
+  FastOtCleanOptions exact = DefaultOptions();
+  exact.max_sinkhorn_iterations = 5000;
+  exact.sinkhorn_tolerance = 1e-9;
+  Rng r3(9);
+  const auto reference = FastOtClean(p, ci, cost, exact, r3).value();
+  ASSERT_TRUE(reference.converged);
+  EXPECT_NEAR(reference.transport_cost, 0.043229466, 1e-8);
+  EXPECT_TRUE(warm.converged);
+  EXPECT_NEAR(warm.transport_cost, reference.transport_cost,
+              1e-4 * reference.transport_cost);
 }
 
 TEST(FastOtCleanTest, IterativeNmfMatchesClosedForm) {

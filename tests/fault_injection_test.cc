@@ -130,11 +130,10 @@ TEST(FaultInjectionTest, RetryRecoversFromTransientKernelNan) {
   RepairOptions opts;
   opts.fast.fault_injector = &inj;
   opts.retry.max_attempts = 2;
-  // Loose enough that the fallback attempt actually converges (the default
-  // 1e-8 outer tolerance never does on this table) — "retried-ok" is only
-  // reported for a *converged* recovery.
+  // Loose enough that the fallback attempt converges well inside the
+  // default step budget — "retried-ok" is only reported for a *converged*
+  // recovery.
   opts.fast.outer_tolerance = 1e-4;
-  opts.fast.max_outer_iterations = 1000;
   const Result<RepairReport> r = RepairTable(table, XyGivenZ(), opts);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->converged);

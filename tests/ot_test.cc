@@ -199,6 +199,37 @@ TEST(SinkhornTest, WarmStartReducesIterations) {
   EXPECT_LE(warm.iterations, cold2.iterations);
 }
 
+TEST(SinkhornTest, StoppingIsScaleFree) {
+  // Scaling both marginals by a power of two scales every row scaling by
+  // exactly that factor and leaves the column scalings bit-identical, so a
+  // scale-free residual stops every run at the same iteration. (An absolute
+  // change metric stops the 2^20 run later and the 2^-20 run sooner.)
+  const size_t m = 5, n = 6;
+  linalg::Matrix cost(m, n);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      const double d = static_cast<double>(i) / (m - 1) -
+                       static_cast<double>(j) / (n - 1);
+      cost(i, j) = d * d;
+    }
+  }
+  const auto kernel = linalg::DenseTransportKernel::FromCost(cost, 0.1, 1);
+  linalg::Vector p(std::vector<double>{0.1, 0.3, 0.2, 0.25, 0.15});
+  linalg::Vector q(std::vector<double>{0.2, 0.1, 0.15, 0.2, 0.05, 0.3});
+  SinkhornOptions opts;
+  const SinkhornScaling base = RunSinkhornScaling(kernel, p, q, opts).value();
+  ASSERT_TRUE(base.converged);
+  for (const double scale : {std::ldexp(1.0, -20), std::ldexp(1.0, 20)}) {
+    SCOPED_TRACE(scale);
+    const SinkhornScaling scaled =
+        RunSinkhornScaling(kernel, p * scale, q * scale, opts).value();
+    EXPECT_TRUE(scaled.converged);
+    EXPECT_EQ(scaled.iterations, base.iterations);
+    for (size_t i = 0; i < m; ++i) EXPECT_EQ(scaled.u[i], scale * base.u[i]);
+    for (size_t j = 0; j < n; ++j) EXPECT_EQ(scaled.v[j], base.v[j]);
+  }
+}
+
 TEST(SinkhornTest, RejectsBadInputs) {
   SinkhornOptions opts;
   linalg::Vector p(std::vector<double>{1.0});

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/repair.h"
+#include "datagen/datasets.h"
 #include "datagen/synthetic.h"
 
 namespace otclean::core {
@@ -183,6 +184,42 @@ TEST(RepairTest, TerminationReportsTheIterationCap) {
   const auto capped = RepairTable(table, XyGivenZ(), opts).value();
   EXPECT_FALSE(capped.converged);
   EXPECT_STREQ(capped.termination, "iteration-cap");
+}
+
+TEST(RepairTest, DefaultRepairConvergesOnPaperTables) {
+  // Algorithm 2 as warm-started 5-sweep steps converges on the paper-scale
+  // cleaning tables, in either iteration domain, to the answer of near
+  // exact inner solves (references: 20 sweeps per step, outer tolerance
+  // 1e-12).
+  struct Case {
+    datagen::DatasetBundle data;
+    double reference_cost;
+    double max_final_cmi;
+  };
+  const Case cases[] = {
+      {datagen::MakeBoston(2000, 903).value(), 0.0255044497, 0.000952},
+      {datagen::MakeCar(1250, 901).value(), 0.0574531454, 0.00250},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.data.name);
+    RepairOptions opts;
+    const auto linear =
+        RepairTable(c.data.table, c.data.constraint, opts).value();
+    EXPECT_TRUE(linear.converged);
+    EXPECT_STREQ(linear.termination, "ok");
+    EXPECT_LE(linear.total_sinkhorn_iterations, 20000u);
+    EXPECT_NEAR(linear.transport_cost, c.reference_cost,
+                1e-5 * c.reference_cost);
+    EXPECT_LE(linear.final_cmi, c.max_final_cmi);
+
+    opts.fast.log_domain = true;
+    const auto log =
+        RepairTable(c.data.table, c.data.constraint, opts).value();
+    EXPECT_TRUE(log.converged);
+    EXPECT_NEAR(static_cast<double>(log.total_sinkhorn_iterations),
+                static_cast<double>(linear.total_sinkhorn_iterations),
+                0.1 * static_cast<double>(linear.total_sinkhorn_iterations));
+  }
 }
 
 TEST(RepairTest, UnknownConstraintColumnFails) {

@@ -268,8 +268,6 @@ Result<core::RepairOptions> BuildRepairOptions(const KvLookup& kv,
     }
   }
   options.fast.restrict_columns_to_active = true;
-  options.fast.max_outer_iterations = 60;
-  options.fast.max_sinkhorn_iterations = 1000;
   return options;
 }
 
