@@ -1,5 +1,6 @@
 #include "core/fast_otclean.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -14,6 +15,7 @@
 #include "common/hash.h"
 #include "core/fault_injector.h"
 #include "core/solve_cache.h"
+#include "linalg/simd.h"
 #include "linalg/simd_exp.h"
 #include "linalg/thread_pool.h"
 #include "nmf/kl_nmf.h"
@@ -28,7 +30,7 @@ namespace {
 /// reruns the (warm-started) scaling loop through ot::RunEngine. In
 /// log-domain mode the potentials threaded through the outer loop are
 /// LOG-potentials; this struct holds what the outer loop alone needs from
-/// them — the column marginal, ⟨C, π⟩ and the final plan.
+/// them — ⟨C, π⟩ and the final plan.
 ///
 /// The truncated paths are cost-free in the O(rows×cols) sense: the
 /// kernel is built by streaming the CostProvider tile-by-tile, and every
@@ -52,29 +54,6 @@ struct OuterLoopKernel {
   template <typename Fn>
   decltype(auto) Visit(Fn&& fn) const {
     return std::visit(std::forward<Fn>(fn), build.kernel);
-  }
-
-  /// Column marginal of the plan at the current potentials, without
-  /// materializing it: (Kᵀu) ∘ v linearly, e^{logsumexp + lv} in log mode
-  /// (exact 0 where either factor is −inf). `scratch` is reused across
-  /// outer steps.
-  void ColumnMarginal(const linalg::Vector& u, const linalg::Vector& v,
-                      linalg::Vector& scratch,
-                      linalg::Vector& target_mass) const {
-    Visit([&](const auto& k) {
-      if constexpr (ot::kIsLogKernel<std::decay_t<decltype(k)>>) {
-        k.LogApplyTranspose(u, scratch);
-        if (target_mass.size() != scratch.size()) {
-          target_mass = linalg::Vector(scratch.size());
-        }
-        for (size_t j = 0; j < scratch.size(); ++j) {
-          target_mass[j] = linalg::simd::PolyExp(scratch[j] + v[j]);
-        }
-      } else {
-        k.ApplyTranspose(u, scratch);
-        target_mass = scratch.CwiseProduct(v);
-      }
-    });
   }
 
   /// ⟨C, π⟩ at the current potentials: the cached O(nnz) support costs on
@@ -225,42 +204,36 @@ uint64_t FastCostFingerprint(const ot::CostFunction& cost,
   return h == 0 ? 1 : h;
 }
 
-/// Expands a marginal over `cells` into a dense distribution over `dom`.
-prob::JointDistribution ExpandToDomain(const prob::Domain& dom,
-                                       const std::vector<size_t>& cells,
-                                       const linalg::Vector& mass) {
-  prob::JointDistribution out(dom);
+/// Writes a marginal over `cells` into `out`, a distribution over the whole
+/// domain that is zero elsewhere.
+void ExpandToDomain(const std::vector<size_t>& cells,
+                    const linalg::Vector& mass, prob::JointDistribution& out) {
+  std::fill(out.probs().begin(), out.probs().end(), 0.0);
   for (size_t i = 0; i < cells.size(); ++i) out[cells[i]] = mass[i];
-  return out;
 }
 
-/// CI projection computed by per-z-slice iterative Lee–Seung rank-one NMF,
-/// used when options.iterative_nmf is set. Produces the same distribution
+/// CI projection of `t` onto `projector`'s one constraint computed by
+/// per-z-slice iterative Lee–Seung rank-one NMF, used when
+/// options.iterative_nmf is set; writes `q`. Produces the same distribution
 /// as prob::CiProjection at convergence.
-prob::JointDistribution IterativeNmfProjection(
-    const prob::JointDistribution& t, const prob::CiSpec& ci,
-    size_t nmf_max_iterations, Rng& rng) {
-  const prob::Domain& dom = t.domain();
+void IterativeNmfProjection(prob::CiProjector& projector,
+                            const prob::JointDistribution& t,
+                            size_t nmf_max_iterations, Rng& rng,
+                            prob::JointDistribution& q) {
   // Slice layout: for each z cell, matrix A_z of size d_X × d_Y where
   // (x, y) aggregates all cells with those X/Y/Z projections. For a
   // saturated constraint every cell maps uniquely to (x, y, z).
-  const prob::Domain dom_x = dom.Project(ci.x);
-  const prob::Domain dom_y = dom.Project(ci.y);
-  const prob::Domain dom_z =
-      ci.z.empty() ? prob::Domain::FromCardinalities({1}) : dom.Project(ci.z);
-  const size_t dx = dom_x.TotalSize();
-  const size_t dy = dom_y.TotalSize();
-  const size_t dz = ci.z.empty() ? 1 : dom_z.TotalSize();
+  const prob::CiProjector::SpecIndex& ix = projector.index(0);
+  const size_t dx = ix.dx;
+  const size_t dy = ix.dy;
+  const size_t dz = ix.dz;
 
-  // Aggregate P(x, y, z) and the conditional of any remaining attributes.
+  // Aggregate P(x, y, z).
   std::vector<linalg::Matrix> slices(dz, linalg::Matrix(dx, dy, 0.0));
   for (size_t cell = 0; cell < t.size(); ++cell) {
     const double p = t[cell];
     if (p <= 0.0) continue;
-    const size_t xi = dom.ProjectIndex(cell, ci.x);
-    const size_t yi = dom.ProjectIndex(cell, ci.y);
-    const size_t zi = ci.z.empty() ? 0 : dom.ProjectIndex(cell, ci.z);
-    slices[zi](xi, yi) += p;
+    slices[ix.ZIndex(cell)](ix.XIndex(cell), ix.YIndex(cell)) += p;
   }
 
   // Factorize each slice: A_z ≈ W_z · H_zᵀ (Algorithm 2 lines 8–12).
@@ -280,19 +253,12 @@ prob::JointDistribution IterativeNmfProjection(
   }
 
   // Reassemble q over the full domain, carrying P(rest | x,y,z) along.
-  std::vector<size_t> xyz = ci.x;
-  xyz.insert(xyz.end(), ci.y.begin(), ci.y.end());
-  xyz.insert(xyz.end(), ci.z.begin(), ci.z.end());
-  const prob::JointDistribution rest_given_xyz = t.ConditionalOn(xyz);
-  prob::JointDistribution q(dom);
+  projector.ConditionalOnXyz(0, t.probs(), q.probs());
   for (size_t cell = 0; cell < q.size(); ++cell) {
-    const size_t xi = dom.ProjectIndex(cell, ci.x);
-    const size_t yi = dom.ProjectIndex(cell, ci.y);
-    const size_t zi = ci.z.empty() ? 0 : dom.ProjectIndex(cell, ci.z);
-    q[cell] = approx[zi](xi, yi) * rest_given_xyz[cell];
+    q[cell] = approx[ix.ZIndex(cell)](ix.XIndex(cell), ix.YIndex(cell)) *
+              q[cell];
   }
   q.Normalize();
-  return q;
 }
 
 /// Algorithm 2's alternating loop, for one constraint or many: step A
@@ -300,9 +266,10 @@ prob::JointDistribution IterativeNmfProjection(
 /// repair's one kernel, step B re-projects the plan's target marginal onto
 /// the CI set. The projection is the only thing that varies: per-slice
 /// iterative KL-NMF (`options.iterative_nmf`, one constraint only), else
-/// the cyclic multi-constraint I-projection, whose one-spec case is the
-/// closed-form rank-one projection. `where` names the public entry point
-/// in errors.
+/// the cyclic CI projection (prob::MultiCiProjection's sweeps). One
+/// prob::CiProjector serves every projection of the repair, and every
+/// per-step distribution lives in a buffer allocated once. `where` names
+/// the public entry point in errors.
 Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
                                        const std::vector<prob::CiSpec>& cis,
                                        const ot::CostFunction& cost,
@@ -377,18 +344,17 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
 
   // Initial target distribution Q (Section 5, default optimization 2): the
   // CI projection of P_D, or of a random distribution (a feasible start).
+  prob::CiProjector projector(dom, cis);
   prob::JointDistribution q = p_data;
   if (!options.nmf_init) {
     for (size_t i = 0; i < q.size(); ++i) q[i] = rng.NextDouble();
     q.Normalize();
   }
-  q = options.iterative_nmf ? prob::CiProjection(q, cis[0])
-                            : prob::MultiCiProjection(q, cis);
-  const auto columns_of = [&](const prob::JointDistribution& d) {
-    linalg::Vector cols(col_cells.size());
-    for (size_t j = 0; j < col_cells.size(); ++j) cols[j] = d[col_cells[j]];
-    return cols;
-  };
+  if (options.iterative_nmf) {
+    projector.ProjectOnto(0, q.probs());
+  } else {
+    projector.Project(q.probs());
+  }
 
   // One worker pool for the whole repair: every Sinkhorn iteration of
   // every outer step dispatches on it, so workers start once per repair.
@@ -420,13 +386,18 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
   }
   // The first solve starts cold; every later one from the previous step.
   linalg::Vector warm_u, warm_v;
-  linalg::Vector ktu;
+  // Per-step buffers: Q's column cells, the plan's column marginal, that
+  // marginal over the whole domain, and its projection.
+  linalg::Vector q_cols(col_cells.size());
+  linalg::Vector target_mass(col_cells.size());
+  prob::JointDistribution t(dom);
+  prob::JointDistribution q_proj(dom);
 
   for (size_t outer = 0; outer < options.max_outer_iterations; ++outer) {
     OTCLEAN_RETURN_NOT_OK(
         CheckStop(options.cancel_token, options.deadline, where));
     // --- Outer step A: transport plan against the current Q (Sinkhorn). ---
-    const linalg::Vector q_cols = columns_of(q);
+    for (size_t j = 0; j < col_cells.size(); ++j) q_cols[j] = q[col_cells[j]];
     const linalg::Vector* wu =
         (options.warm_start && warm_u.size() == p.size()) ? &warm_u : nullptr;
     const linalg::Vector* wv =
@@ -442,20 +413,30 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
 
     // --- Outer step B: re-project the plan's target marginal onto the CI
     // set (Algorithm 2 lines 8–13). ---
-    // Column marginal of the plan without materializing it.
-    linalg::Vector target_mass;
-    kernel.ColumnMarginal(warm_u, warm_v, ktu, target_mass);
+    // Column marginal of the plan without materializing it, from the last
+    // sweep's Kᵀu: (Kᵀu) ∘ v linearly, e^{LSE + lv} in log mode (exact 0
+    // where either factor is −inf).
+    if (spec.log_domain) {
+      for (size_t j = 0; j < target_mass.size(); ++j) {
+        target_mass[j] = linalg::simd::PolyExp(sr.ktu[j] + warm_v[j]);
+      }
+    } else {
+      linalg::simd::Hadamard(sr.ktu.begin(), warm_v.begin(),
+                             target_mass.begin(), target_mass.size());
+    }
     const double total = target_mass.Sum();
     if (total <= 0.0) {
       return Status::Internal(name + ": plan lost all mass");
     }
     target_mass /= total;
-    prob::JointDistribution t = ExpandToDomain(dom, col_cells, target_mass);
-    prob::JointDistribution q_proj =
-        options.iterative_nmf
-            ? IterativeNmfProjection(t, cis[0], options.nmf_max_iterations,
-                                     rng)
-            : prob::MultiCiProjection(t, cis);
+    ExpandToDomain(col_cells, target_mass, t);
+    if (options.iterative_nmf) {
+      IterativeNmfProjection(projector, t, options.nmf_max_iterations, rng,
+                             q_proj);
+    } else {
+      q_proj.probs() = t.probs();
+      projector.Project(q_proj.probs());
+    }
 
     if (options.ci_strength < 1.0) {
       // Soft enforcement: blend projection with the raw marginal (finite μ).
@@ -470,7 +451,7 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
     // Converged only when both loops are: a small ΔQ after inexact inner
     // sweeps (cold-started ones especially) can be a stall, not a solution.
     const double delta = q.TotalVariation(q_proj);
-    q = std::move(q_proj);
+    std::swap(q.probs(), q_proj.probs());
     result.outer_iterations = outer + 1;
     if (delta <= options.outer_tolerance && sr.converged) {
       result.converged = true;
@@ -480,8 +461,8 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
 
   result.plan = kernel.MaterializePlan(dom, row_cells, col_cells, warm_u,
                                        warm_v, result.transport_cost);
-  result.target = q;
-  result.target_cmi = prob::MaxCmi(q, cis);
+  result.target_cmi = projector.MaxCmi(q.probs());
+  result.target = std::move(q);
   return result;
 }
 

@@ -199,15 +199,19 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
   Status finite = ot::ValidateFiniteCosts("QclpClean", provider);
   if (!finite.ok()) return finite;
 
+  // One projector serves every CI projection of the solve, and its index
+  // tables every per-cell (x, y, z) lookup.
+  prob::CiProjector projector(dom, cis);
+
   // One block of linearized marginal-consistency rows per constraint.
   std::vector<ConstraintBlock> blocks(cis.size());
   size_t num_rows = m;
   for (size_t k = 0; k < cis.size(); ++k) {
-    const prob::CiSpec& ci = cis[k];
+    const prob::CiProjector::SpecIndex& ix = projector.index(k);
     ConstraintBlock& b = blocks[k];
-    b.dx = dom.Project(ci.x).TotalSize();
-    b.dy = dom.Project(ci.y).TotalSize();
-    b.dz = ci.z.empty() ? 1 : dom.Project(ci.z).TotalSize();
+    b.dx = ix.dx;
+    b.dy = ix.dy;
+    b.dz = ix.dz;
     b.d = b.dx * b.dy * b.dz;
     b.offset = num_rows;
     num_rows += b.d;
@@ -216,9 +220,9 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
     b.jz.reserve(n);
     b.vj.reserve(n);
     for (size_t c : col_cells) {
-      const size_t x = dom.ProjectIndex(c, ci.x);
-      const size_t y = dom.ProjectIndex(c, ci.y);
-      const size_t z = ci.z.empty() ? 0 : dom.ProjectIndex(c, ci.z);
+      const size_t x = ix.XIndex(c);
+      const size_t y = ix.YIndex(c);
+      const size_t z = ix.ZIndex(c);
       b.jx.push_back(x);
       b.jy.push_back(y);
       b.jz.push_back(z);
@@ -237,7 +241,9 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
   for (size_t i = 0; i < m; ++i) b_rhs[i] = p[i];
 
   // Current CI-consistent estimate of the target distribution.
-  prob::JointDistribution q = prob::MultiCiProjection(p_data, cis);
+  prob::JointDistribution q = p_data;
+  projector.Project(q.probs());
+  prob::JointDistribution t(dom);
 
   QclpResult result;
   linalg::Matrix plan(m, n, 0.0);
@@ -251,7 +257,7 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
     // Q(y|z) and constrains the (x,·,z) slices; else the mirror image.
     const bool pin_y = (outer % 2 == 0);
     for (size_t k = 0; k < cis.size(); ++k) {
-      const prob::CiSpec& ci = cis[k];
+      const prob::CiProjector::SpecIndex& ix = projector.index(k);
       ConstraintBlock& b = blocks[k];
       std::vector<double> qz(b.dz, 0.0);
       std::vector<double> qyz(b.dy * b.dz, 0.0);
@@ -259,12 +265,10 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
       for (size_t cell = 0; cell < q.size(); ++cell) {
         const double v = q[cell];
         if (v <= 0.0) continue;
-        const size_t x = dom.ProjectIndex(cell, ci.x);
-        const size_t y = dom.ProjectIndex(cell, ci.y);
-        const size_t z = ci.z.empty() ? 0 : dom.ProjectIndex(cell, ci.z);
-        qz[z] += v;
-        qyz[y * b.dz + z] += v;
-        qxz[x * b.dz + z] += v;
+        // The (Y,Z) and (X,Z) marginal layouts are y·d_Z + z, x·d_Z + z.
+        qz[ix.ZIndex(cell)] += v;
+        qyz[ix.yz[cell]] += v;
+        qxz[ix.xz[cell]] += v;
       }
       if (pin_y) {
         b.factor.assign(b.dy * b.dz, 0.0);
@@ -307,13 +311,13 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
     // intersection (it satisfies the linearized constraints; the projection
     // removes residual linearization slack).
     linalg::Vector col_mass = plan.ColSums();
-    prob::JointDistribution t(dom);
+    std::fill(t.probs().begin(), t.probs().end(), 0.0);
     for (size_t j = 0; j < n; ++j) t[col_cells[j]] = col_mass[j];
     t.Normalize();
-    prob::JointDistribution q_new = prob::MultiCiProjection(t, cis);
+    projector.Project(t.probs());
 
-    const double delta = q.TotalVariation(q_new);
-    q = std::move(q_new);
+    const double delta = q.TotalVariation(t);
+    std::swap(q.probs(), t.probs());
     result.outer_iterations = outer + 1;
     if (delta <= options.outer_tolerance) {
       result.converged = true;
@@ -322,8 +326,8 @@ Result<QclpResult> QclpCleanMulti(const prob::JointDistribution& p_data,
   }
 
   result.plan = ot::TransportPlan(dom, row_cells, col_cells, plan);
-  result.target = q;
-  result.target_cmi = prob::MaxCmi(q, cis);
+  result.target_cmi = projector.MaxCmi(q.probs());
+  result.target = std::move(q);
   // Streamed plan·cost dot product — tiles, never a dense cost matrix.
   double transport_cost = 0.0;
   std::vector<double> tile(std::min<size_t>(n, linalg::kCostStreamTileCols));

@@ -171,7 +171,8 @@ Result<SinkhornScaling> RunEngine(const AnyKernel& kernel,
               SinkhornLogScaling s,
               RunSinkhornLogScaling(k, p, q, options, warm_u, warm_v));
           return SinkhornScaling{std::move(s.lu), std::move(s.lv),
-                                 s.iterations, s.converged};
+                                 std::move(s.lse_cols), s.iterations,
+                                 s.converged};
         } else {
           return RunSinkhornScaling(k, p, q, options, warm_u, warm_v);
         }

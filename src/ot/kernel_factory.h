@@ -96,7 +96,8 @@ Status CheckKernelSupport(const AnyKernel& kernel, const linalg::Vector& p,
 
 /// The one inner solve on any kernel: RunSinkhornScaling on the linear
 /// kernels, RunSinkhornLogScaling on the log kernels. Warm and returned
-/// potentials are in the kernel's own domain — scalings or log-potentials.
+/// potentials are in the kernel's own domain — scalings or log-potentials
+/// — and so is the returned `ktu`: Kᵀu, or the column log-sum-exp.
 Result<SinkhornScaling> RunEngine(const AnyKernel& kernel,
                                   const linalg::Vector& p,
                                   const linalg::Vector& q,

@@ -333,7 +333,8 @@ Result<SinkhornScaling> RunSinkhornScaling(
   out.v = warm_v != nullptr ? *warm_v : linalg::Vector::Ones(n);
 
   const double exponent = RelaxedExponent(options);
-  linalg::Vector kv(m), ktu(n);
+  linalg::Vector kv(m);
+  out.ktu = linalg::Vector(n);
   // Element-wise into the loop's preallocated buffer — the equivalent of
   // CwiseQuotientSafe (x/0 := 0) + CwisePow (zeros preserved) +
   // ClampScaling, without per-half-iteration allocations. Same policy as
@@ -373,8 +374,8 @@ Result<SinkhornScaling> RunSinkhornScaling(
       },
       /*col_update=*/
       [&](const linalg::Vector& u, linalg::Vector& next_v) {
-        kernel.ApplyTranspose(u, ktu);
-        scale(q, ktu, next_v);
+        kernel.ApplyTranspose(u, out.ktu);
+        scale(q, out.ktu, next_v);
       },
       /*delta=*/ScalingDelta));
   return out;
@@ -405,7 +406,8 @@ Result<SinkhornLogScaling> RunSinkhornLogScaling(
   out.lv = warm_lv != nullptr ? *warm_lv : linalg::Vector(n, 0.0);
 
   const double exponent = RelaxedExponent(options);
-  linalg::Vector lse_rows(m), lse_cols(n);
+  linalg::Vector lse_rows(m);
+  out.lse_cols = linalg::Vector(n);
   linalg::ThreadPool::ScopedStopFlag stop_scope(
       options.cancel_token != nullptr ? options.cancel_token->flag()
                                       : nullptr);
@@ -427,11 +429,11 @@ Result<SinkhornLogScaling> RunSinkhornLogScaling(
       },
       /*col_update=*/
       [&](const linalg::Vector& luu, linalg::Vector& next_lv) {
-        kernel.LogApplyTranspose(luu, lse_cols);
+        kernel.LogApplyTranspose(luu, out.lse_cols);
         for (size_t j = 0; j < n; ++j) {
-          next_lv[j] = (log_q[j] == kNegInf || lse_cols[j] == kNegInf)
+          next_lv[j] = (log_q[j] == kNegInf || out.lse_cols[j] == kNegInf)
                            ? kNegInf
-                           : exponent * (log_q[j] - lse_cols[j]);
+                           : exponent * (log_q[j] - out.lse_cols[j]);
         }
       },
       /*delta=*/LogPotentialDelta));

@@ -128,6 +128,10 @@ struct SinkhornResult {
 struct SinkhornScaling {
   linalg::Vector u;
   linalg::Vector v;
+  /// Kᵀu at the returned u — the denominator of the last column update,
+  /// so the plan's column marginal is ktu ∘ v without another kernel pass.
+  /// RunEngine over a log kernel returns SinkhornLogScaling::lse_cols here.
+  linalg::Vector ktu;
   size_t iterations = 0;
   bool converged = false;
 };
@@ -159,6 +163,10 @@ Result<SinkhornScaling> RunSinkhornScaling(
 struct SinkhornLogScaling {
   linalg::Vector lu;
   linalg::Vector lv;
+  /// The column log-sum-exp LSE_i(lu_i + L_ij) at the returned lu — the
+  /// log twin of SinkhornScaling::ktu; the column marginal is
+  /// e^{lse_cols + lv}.
+  linalg::Vector lse_cols;
   size_t iterations = 0;
   bool converged = false;
 };

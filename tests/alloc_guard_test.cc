@@ -22,6 +22,7 @@
 #include "core/fast_otclean.h"
 #include "core/solve_cache.h"
 #include "prob/domain.h"
+#include "prob/independence.h"
 #include "prob/joint.h"
 
 namespace {
@@ -85,6 +86,8 @@ struct Problem {
   prob::Domain dom = prob::Domain::FromCardinalities({6, 6, 6, 6});
   prob::JointDistribution p_data{dom};
   prob::CiSpec ci{{0}, {1}, {2, 3}};
+  /// A second constraint that conflicts with `ci`, for the multi-spec case.
+  prob::CiSpec ci2{{1}, {3}, {}};
   ot::EuclideanCost cost{4};
   size_t active_rows = 0;
 
@@ -252,6 +255,33 @@ TEST(AllocGuardTest, DenseSolveTripsTheInstrument) {
   EXPECT_FALSE(result->plan.IsSparse());
   EXPECT_GT(scope.dense_scale_allocs(), 0u);
   EXPECT_GE(scope.max_alloc(), dense_bytes);
+}
+
+TEST(AllocGuardTest, CiProjectorAllocatesNothingAfterConstruction) {
+  // FastOTClean runs the cyclic CI projection once per outer step; the
+  // projector it builds per repair must not allocate in any of them.
+  const Problem problem(2024);
+  const std::vector<prob::CiSpec> cis = {problem.ci, problem.ci2};
+  prob::CiProjector projector(problem.dom, cis);
+  linalg::Vector q = problem.p_data.probs();
+  double max_cmi = 0.0;
+  size_t allocs = 0;
+  {
+    // A 1-byte "dense scale" counts every allocation.
+    TrackingScope scope(/*dense_scale_bytes=*/1);
+    projector.Project(q);
+    projector.ProjectOnto(0, q);
+    max_cmi = projector.MaxCmi(q);
+    allocs = scope.dense_scale_allocs();
+  }
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(max_cmi, 0.0);  // the two specs conflict; the work was real
+
+  // The instrument sees the wrapper's per-call projector.
+  TrackingScope scope(/*dense_scale_bytes=*/1);
+  const prob::JointDistribution projected =
+      prob::MultiCiProjection(problem.p_data, cis);
+  EXPECT_GT(scope.dense_scale_allocs(), 0u);
 }
 
 }  // namespace
