@@ -1,6 +1,9 @@
 // Scalar-vs-SIMD bench for the TransportKernel primitives: dense Apply /
 // ApplyTranspose, sparse (CSR gather) Apply, ScaleToPlan, and the
-// TransportCost reduction, at 256²–4096², single thread.
+// TransportCost reduction, at 256²–4096², single thread. It also times the
+// relaxed Sinkhorn half-update (simd::ScalingUpdate) in ns per element
+// against the std::pow loop it replaced, and checks that every tier
+// writes bit-identical scalings and residuals.
 //
 // Timing compares the scalar reference tier against the widest tier the
 // CPU supports, through the real kernel objects. Cross-checking covers
@@ -21,6 +24,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -84,8 +88,100 @@ std::vector<linalg::simd::Isa> VectorIsas() {
   return out;
 }
 
+/// One relaxed-update timing: ns per element of the std::pow loop the
+/// primitive replaced, of the scalar tier and of the widest tier.
+struct ScalingResult {
+  size_t n = 0;
+  double exponent = 1.0;
+  double std_pow_ns = 0.0;
+  double scalar_ns = 0.0;
+  double simd_ns = 0.0;
+};
+
+/// The half-update ScalingUpdate replaced: quotient, std::pow and clamp
+/// per element, then a separate max-relative-change pass.
+double StdPowScalingUpdate(const double* marginal, const double* denom,
+                           double exponent, const double* prev, double* next,
+                           size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    double s = denom[i] != 0.0 ? marginal[i] / denom[i] : 0.0;
+    if (exponent != 1.0) s = s > 0.0 ? std::pow(s, exponent) : 0.0;
+    if (std::isnan(s) || s < 0.0) {
+      s = 0.0;
+    } else if (s > linalg::simd::kScalingCeiling) {
+      s = linalg::simd::kScalingCeiling;
+    }
+    next[i] = s;
+  }
+  double d = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    if (next[i] == prev[i]) continue;
+    if (next[i] == 0.0 || prev[i] == 0.0) {
+      return std::numeric_limits<double>::infinity();
+    }
+    d = std::max(d, std::fabs(next[i] - prev[i]) / prev[i]);
+  }
+  return d;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Times the relaxed update at length n and exponent e (best of `reps`
+/// blocks of `calls` updates) and cross-checks every vector tier's
+/// scalings and residual bit for bit against the scalar tier.
+ScalingResult BenchScalingUpdate(size_t n, double e, int reps, Rng& rng,
+                                 bool& checks_ok) {
+  std::vector<double> marginal(n), denom(n), prev(n), next(n), ref(n);
+  for (size_t i = 0; i < n; ++i) {
+    marginal[i] = (0.05 + rng.NextDouble()) / static_cast<double>(n);
+    denom[i] = std::exp((rng.NextDouble() - 0.5) * 20.0) / static_cast<double>(n);
+    prev[i] = std::exp((rng.NextDouble() - 0.5) * 20.0);
+  }
+  const int calls = static_cast<int>(std::max<size_t>(1, (1u << 18) / n));
+  double sink = 0.0;
+  auto time_ns = [&](auto&& update) {
+    const double ms = BestOfMs(
+        [&] {
+          for (int c = 0; c < calls; ++c) {
+            sink += update(marginal.data(), denom.data(), e, prev.data(),
+                           next.data(), n);
+          }
+        },
+        reps);
+    return ms * 1e6 / (static_cast<double>(calls) * static_cast<double>(n));
+  };
+  const linalg::simd::Isa best = linalg::simd::ActiveIsa();
+  ScalingResult r;
+  r.n = n;
+  r.exponent = e;
+  r.std_pow_ns = time_ns(StdPowScalingUpdate);
+  linalg::simd::SetIsa(linalg::simd::Isa::kScalar);
+  r.scalar_ns = time_ns(linalg::simd::ScalingUpdate);
+  const double ref_res = linalg::simd::ScalingUpdate(
+      marginal.data(), denom.data(), e, prev.data(), ref.data(), n);
+  linalg::simd::SetIsa(best);
+  r.simd_ns = time_ns(linalg::simd::ScalingUpdate);
+  for (linalg::simd::Isa isa : VectorIsas()) {
+    linalg::simd::SetIsa(isa);
+    const double res = linalg::simd::ScalingUpdate(
+        marginal.data(), denom.data(), e, prev.data(), next.data(), n);
+    bool same = SameBits(res, ref_res);
+    for (size_t i = 0; i < n && same; ++i) same = SameBits(next[i], ref[i]);
+    if (!same) {
+      std::printf("!! scaling_update at %zu, e=%g: scalar/%s bits differ\n",
+                  n, e, linalg::simd::IsaName(isa));
+      checks_ok = false;
+    }
+  }
+  linalg::simd::SetIsa(best);
+  if (sink == -1.0) std::printf("#\n");  // keep the timed calls observable
+  return r;
+}
+
 void WriteJson(const std::string& path, const std::vector<OpResult>& results,
-               bool checks_ok) {
+               const std::vector<ScalingResult>& scaling, bool checks_ok) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -110,6 +206,18 @@ void WriteJson(const std::string& path, const std::vector<OpResult>& results,
                  "\"simd_ms\": %.4f, \"speedup\": %.2f}%s\n",
                  r.op.c_str(), r.n, r.scalar_ms, r.simd_ms, r.speedup(),
                  i + 1 < results.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"scaling_update\": [\n");
+  for (size_t i = 0; i < scaling.size(); ++i) {
+    const ScalingResult& r = scaling[i];
+    std::fprintf(f,
+                 "    {\"n\": %zu, \"exponent\": %.6g, "
+                 "\"std_pow_ns_per_elem\": %.3f, "
+                 "\"scalar_ns_per_elem\": %.3f, "
+                 "\"simd_ns_per_elem\": %.3f}%s\n",
+                 r.n, r.exponent, r.std_pow_ns, r.scalar_ns, r.simd_ns,
+                 i + 1 < scaling.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -256,8 +364,24 @@ int main(int argc, char** argv) {
     results.push_back(pair);
   }
 
+  // The relaxed Sinkhorn half-update: e = 50/50.1 is FastOTClean's default
+  // λ/(λ+ε); e = 1 is hard-marginal Sinkhorn (quotient and clamp only).
+  std::vector<ScalingResult> scaling;
+  std::printf("\n%-9s %-9s %-13s %-13s %-13s\n", "n", "exponent",
+              "std_pow_ns", "scalar_ns", "simd_ns");
+  for (const size_t n : smoke ? std::vector<size_t>{1000}
+                              : std::vector<size_t>{1000, 16384}) {
+    for (const double e : {50.0 / 50.1, 1.0}) {
+      const ScalingResult r =
+          BenchScalingUpdate(n, e, smoke ? 3 : 9, rng, checks_ok);
+      std::printf("%-9zu %-9.6g %-13.3f %-13.3f %-13.3f\n", r.n, r.exponent,
+                  r.std_pow_ns, r.scalar_ns, r.simd_ns);
+      scaling.push_back(r);
+    }
+  }
+
   linalg::simd::SetIsa(best);
-  WriteJson("BENCH_simd_kernel.json", results, checks_ok);
+  WriteJson("BENCH_simd_kernel.json", results, scaling, checks_ok);
   std::printf("# tiers cross-checked vs scalar:");
   for (linalg::simd::Isa isa : VectorIsas()) {
     std::printf(" %s", linalg::simd::IsaName(isa));

@@ -206,6 +206,23 @@ OTCLEAN_NOVEC void ScalarAddExpWrite(double shift, const T* a,
   }
 }
 
+// The relaxed scaling update: ScalingElement/ScalingResidual of
+// simd_exp.h one element at a time — the semantics the vector tiers mirror
+// lane by lane, so every tier writes bit-identical scalings.
+OTCLEAN_NOVEC double ScalarScalingUpdate(const double* marginal,
+                                         const double* denom, double exponent,
+                                         const double* prev, double* next,
+                                         size_t n) {
+  const double c = exponent - 1.0;
+  double r = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    next[i] = ScalingElement(marginal[i], denom[i], c);
+    const double t = ScalingResidual(next[i], prev[i]);
+    r = t > r ? t : r;
+  }
+  return r;
+}
+
 #undef OTCLEAN_NOVEC
 
 /// True when the running CPU can execute `isa` (independent of whether the
@@ -323,6 +340,7 @@ const SimdOps* GetScalarOps() {
     o.add_max_accumulate = ScalarAddMaxAccumulate<double>;
     o.add_exp_sum_accumulate = ScalarAddExpSumAccumulate<double>;
     o.add_exp_write = ScalarAddExpWrite<double>;
+    o.scaling_update = ScalarScalingUpdate;
     o.dot_f32 = ScalarDot<float>;
     o.dot3_f32 = ScalarDot3<float>;
     o.gather_dot_f32 = ScalarGatherDot<float>;
@@ -492,6 +510,12 @@ void AddExpSumAccumulate(double c, const double* a, const double* shift,
 void AddExpWrite(double shift, const double* a, const double* b, double* out,
                  size_t n) {
   Active().add_exp_write(shift, a, b, out, n);
+}
+
+double ScalingUpdate(const double* marginal, const double* denom,
+                     double exponent, const double* prev, double* next,
+                     size_t n) {
+  return Active().scaling_update(marginal, denom, exponent, prev, next, n);
 }
 
 template <typename T, FloatOnly<T>>

@@ -44,6 +44,11 @@ namespace otclean::linalg::simd {
 ///    reductions are exactly associative and thus bit-identical
 ///    everywhere, and the exp-sum reductions differ only by the usual
 ///    lane-accumulator sum reordering.
+///  - ScalingUpdate, the relaxed Sinkhorn update, evaluates its power with
+///    the shared PolyLog/PolyExp pair (simd_exp.h) in the same operation
+///    sequence in every tier, scalar included, so each written scaling is
+///    bit-identical across tiers; its residual is a max reduction and thus
+///    bit-identical everywhere too.
 enum class Isa {
   kScalar = 0,
   kAvx2 = 1,
@@ -68,6 +73,13 @@ std::vector<Isa> SupportedIsas();
 /// For tests and benches comparing tiers; production code never calls it.
 /// Not thread-safe against concurrently running primitives.
 bool SetIsa(Isa isa);
+
+/// The largest value a Sinkhorn scaling may take. The scalings of kernels
+/// with a large dynamic range (costs that effectively forbid some moves)
+/// can run past the double range over many iterations; an infinite entry
+/// would zero the opposite scaling and drain the plan, so +inf and any
+/// overflow clamp here instead, keeping u·K·v finite.
+inline constexpr double kScalingCeiling = 1e150;
 
 // ------------------------------------------------------------ reductions --
 
@@ -188,6 +200,36 @@ void ScaledHadamard(double s, const double* a, const double* b, double* out,
 void GatherScaledHadamard(double s, const double* vals, const size_t* idx,
                           const double* x, double* out, size_t n);
 
+// ------------------------------------------------ relaxed scaling update --
+
+/// The linear Sinkhorn half-update with the relaxed exponent e = λ/(λ+ε)
+/// (Frogner et al., Prop. 4.2; the paper's Eq. 5), fused with its stopping
+/// residual. Writes
+///
+///   next[i] = clamp((marginal[i] / denom[i])^e)
+///
+/// under the scaling policy: x/0 := 0 (0/0 included); NaN, negative and
+/// zero quotients are "no mass" and give 0; +inf and anything above
+/// kScalingCeiling give kScalingCeiling. Returns the max relative change
+/// max_i |next[i] − prev[i]| / prev[i] against the previous scalings —
+/// the linear reading of the log domain's potential change — where an
+/// unchanged entry (0 and 0 included) counts 0 and a zero on one side only
+/// (mass appearing or disappearing) counts +inf. NaN or negative `prev`
+/// entries add nothing beyond that zero rule; 0 when n = 0. `next` must
+/// not alias `prev`, `marginal` or `denom`.
+///
+/// e must lie in (0, 1]. At e = 1 (hard-marginal Sinkhorn) the update is
+/// only the quotient and the clamp. Otherwise x^e = x·exp((e−1)·ln x) with
+/// (e−1)·ln x carried in two doubles, so ln's rounding is damped by
+/// |e − 1| and the exp argument is exact to ~1e-17; for e ∈ [0.5, 1) the
+/// result is within 4 ulp and 1e-14 relative of std::pow over
+/// |ln x| ≤ 690 (tests/simd_test.cc pins both; 2 ulp measured).
+/// Quotients below DBL_MIN (subnormals) give 0 at e < 1, in every tier
+/// and FP mode.
+double ScalingUpdate(const double* marginal, const double* denom,
+                     double exponent, const double* prev, double* next,
+                     size_t n);
+
 // ------------------------------------------------- f32 kernel-tier lanes --
 //
 // Float-STORAGE overloads of the kernel hot loops for the opt-in
@@ -295,6 +337,8 @@ struct SimdOps {
                                  double*, size_t);
   void (*add_exp_write)(double, const double*, const double*, double*,
                         size_t);
+  double (*scaling_update)(const double*, const double*, double,
+                           const double*, double*, size_t);
   // f32 kernel-tier lanes (float storage, double accumulation).
   double (*dot_f32)(const float*, const double*, size_t);
   double (*dot3_f32)(const double*, const float*, const double*, size_t);

@@ -66,6 +66,30 @@ struct PackAvx2 {
   static V ZeroIfBelow(V v, V x, V lim) {
     return _mm256_and_pd(v, _mm256_cmp_pd(x, lim, _CMP_GE_OQ));
   }
+  static V Abs(V v) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v); }
+  static V IfGe(V x, V lim, V a, V b) {
+    return _mm256_blendv_pd(b, a, _mm256_cmp_pd(x, lim, _CMP_GE_OQ));
+  }
+  static V IfEq(V x, V y, V a, V b) {
+    return _mm256_blendv_pd(b, a, _mm256_cmp_pd(x, y, _CMP_EQ_OQ));
+  }
+  static V Exponent(V x) {
+    // The 11-bit field ORed under 2^52's bits is the double 2^52 + field;
+    // subtracting 2^52 + 1023 leaves the unbiased exponent, exactly.
+    const __m256i field = _mm256_and_si256(
+        _mm256_srli_epi64(_mm256_castpd_si256(x), 52),
+        _mm256_set1_epi64x(0x7ff));
+    const __m256d biased = _mm256_castsi256_pd(
+        _mm256_or_si256(field, _mm256_set1_epi64x(0x4330000000000000)));
+    return _mm256_sub_pd(biased, _mm256_set1_pd(4503599627371519.0));
+  }
+  static V Significand(V x) {
+    const __m256i bits = _mm256_or_si256(
+        _mm256_and_si256(_mm256_castpd_si256(x),
+                         _mm256_set1_epi64x(0x000fffffffffffff)),
+        _mm256_set1_epi64x(0x3ff0000000000000));
+    return _mm256_castsi256_pd(bits);
+  }
 };
 
 }  // namespace

@@ -67,6 +67,30 @@ struct PackAvx512 {
   static V ZeroIfBelow(V v, V x, V lim) {
     return _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(x, lim, _CMP_GE_OQ), v);
   }
+  static V Abs(V v) { return _mm512_abs_pd(v); }
+  static V IfGe(V x, V lim, V a, V b) {
+    return _mm512_mask_blend_pd(_mm512_cmp_pd_mask(x, lim, _CMP_GE_OQ), b, a);
+  }
+  static V IfEq(V x, V y, V a, V b) {
+    return _mm512_mask_blend_pd(_mm512_cmp_pd_mask(x, y, _CMP_EQ_OQ), b, a);
+  }
+  static V Exponent(V x) {
+    // The 11-bit field ORed under 2^52's bits is the double 2^52 + field;
+    // subtracting 2^52 + 1023 leaves the unbiased exponent, exactly.
+    const __m512i field = _mm512_and_si512(
+        _mm512_srli_epi64(_mm512_castpd_si512(x), 52),
+        _mm512_set1_epi64(0x7ff));
+    const __m512d biased = _mm512_castsi512_pd(
+        _mm512_or_si512(field, _mm512_set1_epi64(0x4330000000000000)));
+    return _mm512_sub_pd(biased, _mm512_set1_pd(4503599627371519.0));
+  }
+  static V Significand(V x) {
+    const __m512i bits = _mm512_or_si512(
+        _mm512_and_si512(_mm512_castpd_si512(x),
+                         _mm512_set1_epi64(0x000fffffffffffff)),
+        _mm512_set1_epi64(0x3ff0000000000000));
+    return _mm512_castsi512_pd(bits);
+  }
 };
 
 }  // namespace

@@ -56,6 +56,19 @@
 // which ExpPdImpl composes into the shared PolyExp polynomial of
 // simd_exp.h — same coefficients, same fma/mul/div sequence — so a lane
 // of any vector tier's exp is bit-identical to the scalar PolyExp.
+//
+// The relaxed scaling update (ScalingUpdate) further requires the exact
+// lane ops
+//
+//     static V Abs(V);
+//     static V IfGe(V x, V lim, V a, V b);     // x ≥ lim ? a : b (NaN x → b)
+//     static V IfEq(V x, V y, V a, V b);       // x == y ? a : b (NaN → b)
+//     static V Exponent(V x);                  // x's unbiased exponent field
+//                                              // as an integral double
+//     static V Significand(V x);               // x's significand in [1, 2)
+//
+// from which LogPdImpl and PowPdImpl mirror simd_exp.h's PolyLog and
+// PolyPow operation for operation.
 
 #include <cmath>
 #include <cstddef>
@@ -300,6 +313,24 @@ void GatherScaledHadamardImpl(double s, const TV* vals, const size_t* idx,
 
 // ------------------------------------------------------------ log-domain --
 
+/// Lane-pack PolyExpReduced (simd_exp.h): the Cephes rational on the
+/// reduced range.
+template <class P>
+typename P::V ExpReducedPdImpl(typename P::V r) {
+  using V = typename P::V;
+  const V rr = P::Mul(r, r);
+  V p = P::Set1(kPolyExpP0);
+  p = P::Fma(p, rr, P::Set1(kPolyExpP1));
+  p = P::Fma(p, rr, P::Set1(kPolyExpP2));
+  const V rp = P::Mul(r, p);
+  V q = P::Set1(kPolyExpQ0);
+  q = P::Fma(q, rr, P::Set1(kPolyExpQ1));
+  q = P::Fma(q, rr, P::Set1(kPolyExpQ2));
+  q = P::Fma(q, rr, P::Set1(kPolyExpQ3));
+  const V e = P::Div(rp, P::Sub(q, rp));
+  return P::Fma(e, P::Set1(2.0), P::Set1(1.0));
+}
+
 /// Lane-pack PolyExp (simd_exp.h): identical clamp → argument reduction →
 /// rational polynomial → power-of-two scale sequence, one lane per
 /// element. See the domain contract in simd_exp.h.
@@ -311,18 +342,117 @@ typename P::V ExpPdImpl(typename P::V x) {
   const V n = P::Floor(P::Fma(xc, P::Set1(kPolyExpLog2E), P::Set1(0.5)));
   V r = P::Fma(n, P::Set1(-kPolyExpC1), xc);
   r = P::Fma(n, P::Set1(-kPolyExpC2), r);
-  const V rr = P::Mul(r, r);
-  V p = P::Set1(kPolyExpP0);
-  p = P::Fma(p, rr, P::Set1(kPolyExpP1));
-  p = P::Fma(p, rr, P::Set1(kPolyExpP2));
-  const V rp = P::Mul(r, p);
-  V q = P::Set1(kPolyExpQ0);
-  q = P::Fma(q, rr, P::Set1(kPolyExpQ1));
-  q = P::Fma(q, rr, P::Set1(kPolyExpQ2));
-  q = P::Fma(q, rr, P::Set1(kPolyExpQ3));
-  const V e = P::Div(rp, P::Sub(q, rp));
-  const V res = P::ScaleByPow2(P::Fma(e, P::Set1(2.0), P::Set1(1.0)), n);
+  const V res = P::ScaleByPow2(ExpReducedPdImpl<P>(r), n);
   return P::ZeroIfBelow(res, x, lo);  // underflow, -inf, NaN → exact 0
+}
+
+/// Lane-pack PolyLog (simd_exp.h): ln x = hi + lo and x = 2^k·m, one lane
+/// per element, under PolyLog's domain contract (normal positive finite
+/// x).
+template <class P>
+void LogPdImpl(typename P::V x, typename P::V& hi, typename P::V& lo,
+               typename P::V& k, typename P::V& m) {
+  using V = typename P::V;
+  k = P::Exponent(x);
+  m = P::Significand(x);
+  const V sqrt2 = P::Set1(kPolyLogSqrt2);
+  k = P::IfGe(m, sqrt2, P::Add(k, P::Set1(1.0)), k);
+  m = P::IfGe(m, sqrt2, P::Mul(m, P::Set1(0.5)), m);
+  const V f = P::Sub(m, P::Set1(1.0));
+  const V s = P::Div(f, P::Add(P::Set1(2.0), f));
+  const V z = P::Mul(s, s);
+  const V w = P::Mul(z, z);
+  const V t1 = P::Mul(
+      w, P::Fma(w, P::Fma(w, P::Set1(kPolyLogLg6), P::Set1(kPolyLogLg4)),
+                P::Set1(kPolyLogLg2)));
+  const V t2 = P::Mul(
+      z, P::Fma(w,
+                P::Fma(w,
+                       P::Fma(w, P::Set1(kPolyLogLg7), P::Set1(kPolyLogLg5)),
+                       P::Set1(kPolyLogLg3)),
+                P::Set1(kPolyLogLg1)));
+  const V r = P::Add(t2, t1);
+  const V hfsq = P::Mul(P::Mul(P::Set1(0.5), f), f);
+  hi = P::Mul(k, P::Set1(kPolyLogLn2Hi));
+  lo = P::Sub(f, P::Sub(hfsq, P::Fma(s, P::Add(hfsq, r),
+                                     P::Mul(k, P::Set1(kPolyLogLn2Lo)))));
+}
+
+/// Lane-pack PolyPow (simd_exp.h): x^(1+c) for normal positive finite x.
+template <class P>
+typename P::V PowPdImpl(typename P::V x, typename P::V c) {
+  using V = typename P::V;
+  V hi, lo, k, m;
+  LogPdImpl<P>(x, hi, lo, k, m);
+  const V ph = P::Mul(c, hi);
+  const V pe = P::Fma(c, hi, P::Sub(P::Zero(), ph));
+  const V q = P::Mul(c, lo);
+  const V yh = P::Add(ph, q);
+  const V yl = P::Add(P::Add(P::Sub(ph, yh), q), pe);
+  const V n = P::Floor(P::Fma(yh, P::Set1(kPolyExpLog2E), P::Set1(0.5)));
+  V r = P::Fma(n, P::Set1(-kPolyExpC1), yh);
+  r = P::Fma(n, P::Set1(-kPolyExpC2), r);
+  r = P::Add(r, yl);
+  return P::ScaleByPow2(P::Mul(m, ExpReducedPdImpl<P>(r)), P::Add(k, n));
+}
+
+/// Lane-pack ScalingElement (simd_exp.h).
+template <class P>
+typename P::V ScalingPdImpl(typename P::V marginal, typename P::V denom,
+                            typename P::V c, bool unit_exponent) {
+  using V = typename P::V;
+  const V zero = P::Zero();
+  const V ceiling = P::Set1(kScalingCeiling);
+  const V x = P::IfEq(denom, zero, zero, P::Div(marginal, denom));
+  if (unit_exponent) return P::IfGe(x, zero, P::Min(x, ceiling), zero);
+  const V min_normal = P::Set1(std::numeric_limits<double>::min());
+  V xs = P::IfGe(x, min_normal, x, P::Set1(1.0));
+  xs = P::Min(xs, P::Set1(std::numeric_limits<double>::max()));
+  V out = P::Min(PowPdImpl<P>(xs, c), ceiling);
+  out = P::IfGe(x, P::Set1(std::numeric_limits<double>::infinity()), ceiling,
+                out);
+  return P::IfGe(x, min_normal, out, zero);
+}
+
+/// Lane-pack ScalingResidual (simd_exp.h).
+template <class P>
+typename P::V ScalingResidualPdImpl(typename P::V next, typename P::V prev) {
+  using V = typename P::V;
+  const V zero = P::Zero();
+  const V inf = P::Set1(std::numeric_limits<double>::infinity());
+  const V rel = P::Div(P::Abs(P::Sub(next, prev)), prev);
+  V t = P::IfGe(rel, zero, rel, zero);
+  t = P::IfEq(prev, zero, inf, t);
+  t = P::IfEq(next, zero, inf, t);
+  return P::IfEq(next, prev, zero, t);
+}
+
+/// ScalingUpdate: every element through the lane mirror of
+/// ScalingElement, the residual as a max reduction (exact in any order).
+template <class P>
+double ScalingUpdateImpl(const double* marginal, const double* denom,
+                         double exponent, const double* prev, double* next,
+                         size_t n) {
+  using V = typename P::V;
+  constexpr size_t L = P::kLanes;
+  const double c = exponent - 1.0;
+  const bool unit = c == 0.0;
+  const V cv = P::Set1(c);
+  V acc = P::Zero();
+  size_t i = 0;
+  for (; i + L <= n; i += L) {
+    const V s = ScalingPdImpl<P>(P::Load(marginal + i), P::Load(denom + i),
+                                 cv, unit);
+    P::Store(next + i, s);
+    acc = P::Max(acc, ScalingResidualPdImpl<P>(s, P::Load(prev + i)));
+  }
+  double r = P::ReduceMax(acc);
+  for (; i < n; ++i) {
+    next[i] = ScalingElement(marginal[i], denom[i], c);
+    const double t = ScalingResidual(next[i], prev[i]);
+    r = t > r ? t : r;
+  }
+  return r;
 }
 
 // The max reductions reuse the 4-accumulator blocking of the sums. Max is
@@ -559,6 +689,7 @@ detail::SimdOps MakeOps() {
   ops.add_max_accumulate = AddMaxAccumulateImpl<P>;
   ops.add_exp_sum_accumulate = AddExpSumAccumulateImpl<P>;
   ops.add_exp_write = AddExpWriteImpl<P>;
+  ops.scaling_update = ScalingUpdateImpl<P>;
   // f32 kernel tier: the same templates at float, widening through
   // LoadF32/GatherF32.
   ops.dot_f32 = DotImpl<P, float>;

@@ -57,6 +57,24 @@ struct PackNeon {
     return vreinterpretq_f64_u64(
         vandq_u64(vreinterpretq_u64_f64(v), vcgeq_f64(x, lim)));
   }
+  static V Abs(V v) { return vabsq_f64(v); }
+  static V IfGe(V x, V lim, V a, V b) {
+    return vbslq_f64(vcgeq_f64(x, lim), a, b);
+  }
+  static V IfEq(V x, V y, V a, V b) { return vbslq_f64(vceqq_f64(x, y), a, b); }
+  static V Exponent(V x) {
+    // The 11-bit field converts exactly; subtracting the bias is exact.
+    const uint64x2_t field = vandq_u64(
+        vshrq_n_u64(vreinterpretq_u64_f64(x), 52), vdupq_n_u64(0x7ff));
+    return vsubq_f64(vcvtq_f64_u64(field), vdupq_n_f64(1023.0));
+  }
+  static V Significand(V x) {
+    const uint64x2_t bits =
+        vorrq_u64(vandq_u64(vreinterpretq_u64_f64(x),
+                            vdupq_n_u64(0x000fffffffffffffull)),
+                  vdupq_n_u64(0x3ff0000000000000ull));
+    return vreinterpretq_f64_u64(bits);
+  }
 };
 
 }  // namespace

@@ -73,23 +73,6 @@ Vector Vector::CwiseProduct(const Vector& other) const {
   return out;
 }
 
-Vector Vector::CwiseQuotientSafe(const Vector& other) const {
-  assert(size() == other.size());
-  Vector out(size());
-  for (size_t i = 0; i < data_.size(); ++i) {
-    out.data_[i] = (other.data_[i] != 0.0) ? data_[i] / other.data_[i] : 0.0;
-  }
-  return out;
-}
-
-Vector Vector::CwisePow(double exponent) const {
-  Vector out(size());
-  for (size_t i = 0; i < data_.size(); ++i) {
-    out.data_[i] = (data_[i] > 0.0) ? std::pow(data_[i], exponent) : 0.0;
-  }
-  return out;
-}
-
 Vector Vector::CwiseExp() const {
   Vector out(size());
   for (size_t i = 0; i < data_.size(); ++i) out.data_[i] = std::exp(data_[i]);

@@ -58,11 +58,6 @@ class Vector {
 
   /// Elementwise product.
   Vector CwiseProduct(const Vector& other) const;
-  /// Elementwise quotient with 0/0 := 0 and x/0 := 0 (the Sinkhorn
-  /// convention for empty marginals).
-  Vector CwiseQuotientSafe(const Vector& other) const;
-  /// Elementwise natural power; preserves zeros for non-negative input.
-  Vector CwisePow(double exponent) const;
   /// Elementwise exp.
   Vector CwiseExp() const;
   /// Elementwise natural log with log(0) := 0 (measure-theoretic 0·log 0).

@@ -5,28 +5,28 @@
 #include <optional>
 #include <utility>
 
+#include "linalg/simd.h"
+
 namespace otclean::ot {
 
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// Guards the scaling vectors against overflow and junk. Kernels with a
-/// large dynamic range (e.g. costs that effectively forbid some moves) can
-/// push u or v past the double range over many iterations; an infinite
-/// scaling entry then zeroes the opposite vector and silently drains the
-/// plan — +inf (and any overflow past 1e150) clamps to 1e150 to keep
-/// u·K·v finite. A NaN (a 0/0 — no mass demanded, none reachable) or a
-/// negative entry means "no mass" and collapses to 0: mapping it to the
-/// clamp CEILING, as this function once did, inflated u·K·v and
-/// transport_cost with mass that never existed.
+/// Guards the scaling vectors against overflow and junk, under the policy
+/// the relaxed update `linalg::simd::ScalingUpdate` applies to every
+/// scaling it writes: +inf and any overflow clamp to
+/// `linalg::simd::kScalingCeiling`, keeping u·K·v finite. A NaN (a 0/0 —
+/// no mass demanded, none reachable) or a negative entry means "no mass"
+/// and collapses to 0: mapping it to the clamp CEILING, as this function
+/// once did, inflated u·K·v and transport_cost with mass that never
+/// existed.
 void ClampScaling(linalg::Vector& s) {
-  constexpr double kMax = 1e150;
   for (size_t i = 0; i < s.size(); ++i) {
     if (std::isnan(s[i]) || s[i] < 0.0) {
       s[i] = 0.0;
-    } else if (s[i] > kMax) {
-      s[i] = kMax;
+    } else if (s[i] > linalg::simd::kScalingCeiling) {
+      s[i] = linalg::simd::kScalingCeiling;
     }
   }
 }

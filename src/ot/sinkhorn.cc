@@ -11,6 +11,7 @@
 #include "core/solve_cache.h"
 #include "linalg/fp_env.h"
 #include "linalg/parallel_for.h"
+#include "linalg/simd.h"
 #include "linalg/thread_pool.h"
 #include "ot/kernel_factory.h"
 
@@ -30,32 +31,29 @@ double RelaxedExponent(const SinkhornOptions& options) {
 
 /// THE convergence loop — every solver variant (dense, sparse, relaxed,
 /// linear- or log-domain) runs this one loop and differs only in its
-/// half-iteration updates and change metric. `row_update(v, new_u)` writes
-/// the next row potential from the current column potential (including any
-/// relaxed exponent and clamping); `col_update(new_u, new_v)` the
-/// converse; `delta(a, b)` measures the scale-free max-change between
-/// successive potentials (relative for scalings, absolute for
-/// log-potentials), the one residual `options.tolerance` bounds.
+/// half-iteration updates. `row_update(v, u, new_u)` writes the next row
+/// potential from the current column potential (including any relaxed
+/// exponent and clamping) and returns its scale-free max-change against
+/// the current `u` (relative for scalings, absolute for log-potentials),
+/// the one residual `options.tolerance` bounds; `col_update(new_u, v,
+/// new_v)` is the converse.
 /// A non-OK return means the solve was aborted by `options.cancel_token`
 /// or `options.deadline` — the stop is checked once per iteration, before
 /// the half-updates, so an abort never leaves a half-applied iteration
 /// and a completed loop is bit-identical to one run without the checks.
 /// The caller's ScopedStopFlag (installed around this loop) additionally
 /// lets pooled kernel dispatches drain mid-iteration once a token fires.
-template <typename RowUpdate, typename ColUpdate, typename Delta>
+template <typename RowUpdate, typename ColUpdate>
 Status RunScalingLoop(linalg::Vector& u, linalg::Vector& v,
                       const SinkhornOptions& options, const char* where,
                       size_t& iterations, bool& converged,
-                      RowUpdate&& row_update, ColUpdate&& col_update,
-                      Delta&& delta) {
+                      RowUpdate&& row_update, ColUpdate&& col_update) {
   linalg::Vector new_u(u.size()), new_v(v.size());
   for (size_t it = 0; it < options.max_iterations; ++it) {
     OTCLEAN_RETURN_NOT_OK(
         CheckStop(options.cancel_token, options.deadline, where));
-    row_update(v, new_u);
-    col_update(new_u, new_v);
-    const double du = delta(new_u, u);
-    const double dv = delta(new_v, v);
+    const double du = row_update(v, u, new_u);
+    const double dv = col_update(new_u, v, new_v);
     std::swap(u, new_u);
     std::swap(v, new_v);
     iterations = it + 1;
@@ -65,25 +63,6 @@ Status RunScalingLoop(linalg::Vector& u, linalg::Vector& v,
     }
   }
   return Status::OK();
-}
-
-/// Max relative change max_i |a_i − b_i| / b_i of the new linear scalings
-/// `a` against the previous `b` — the linear-domain reading of the log
-/// domain's potential change |log a_i − log b_i|, so both domains stop at
-/// the same point and neither depends on the scalings' magnitude (they
-/// range from ~1e-12 to the 1e150 clamp). Two zeros are an unchanged
-/// "no mass" state (Δ = 0); a zero on one side only is mass appearing or
-/// disappearing, an infinite change (as LogPotentialDelta treats −inf).
-double ScalingDelta(const linalg::Vector& a, const linalg::Vector& b) {
-  double d = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] == b[i]) continue;  // equal scalings, and 0 vs 0
-    if (a[i] == 0.0 || b[i] == 0.0) {
-      return std::numeric_limits<double>::infinity();
-    }
-    d = std::max(d, std::fabs(a[i] - b[i]) / b[i]);
-  }
-  return d;
 }
 
 /// Max-change between successive LOG-potential vectors — scale-free as it
@@ -335,25 +314,6 @@ Result<SinkhornScaling> RunSinkhornScaling(
   const double exponent = RelaxedExponent(options);
   linalg::Vector kv(m);
   out.ktu = linalg::Vector(n);
-  // Element-wise into the loop's preallocated buffer — the equivalent of
-  // CwiseQuotientSafe (x/0 := 0) + CwisePow (zeros preserved) +
-  // ClampScaling, without per-half-iteration allocations. Same policy as
-  // ClampScaling: overflow to the ceiling, NaN/negative to no-mass 0.
-  auto scale = [&](const linalg::Vector& marginal, const linalg::Vector& denom,
-                   linalg::Vector& next) {
-    constexpr double kMax = 1e150;
-    for (size_t i = 0; i < next.size(); ++i) {
-      double s = denom[i] != 0.0 ? marginal[i] / denom[i] : 0.0;
-      if (exponent != 1.0) s = s > 0.0 ? std::pow(s, exponent) : 0.0;
-      if (std::isnan(s) || s < 0.0) {
-        s = 0.0;
-      } else if (s > kMax) {
-        s = kMax;
-      }
-      next[i] = s;
-    }
-  };
-
   // While the loop runs, pooled kernel dispatches observe the token too:
   // a fired token drains in-flight Apply/ApplyTranspose dispatches without
   // touching their chunk decomposition. Subnormals are flushed for the
@@ -367,17 +327,23 @@ Result<SinkhornScaling> RunSinkhornScaling(
   OTCLEAN_RETURN_NOT_OK(RunScalingLoop(
       out.u, out.v, options, "RunSinkhornScaling", out.iterations,
       out.converged,
+      // Each half-update writes its scalings and their relative change in
+      // one pass of the SIMD relaxed update (linalg/simd.h).
       /*row_update=*/
-      [&](const linalg::Vector& v, linalg::Vector& next_u) {
+      [&](const linalg::Vector& v, const linalg::Vector& u,
+          linalg::Vector& next_u) {
         kernel.Apply(v, kv);
-        scale(p, kv, next_u);
+        return linalg::simd::ScalingUpdate(p.begin(), kv.begin(), exponent,
+                                           u.begin(), next_u.begin(), m);
       },
       /*col_update=*/
-      [&](const linalg::Vector& u, linalg::Vector& next_v) {
+      [&](const linalg::Vector& u, const linalg::Vector& v,
+          linalg::Vector& next_v) {
         kernel.ApplyTranspose(u, out.ktu);
-        scale(q, out.ktu, next_v);
-      },
-      /*delta=*/ScalingDelta));
+        return linalg::simd::ScalingUpdate(q.begin(), out.ktu.begin(),
+                                           exponent, v.begin(),
+                                           next_v.begin(), n);
+      }));
   return out;
 }
 
@@ -419,24 +385,27 @@ Result<SinkhornLogScaling> RunSinkhornLogScaling(
       // the LSE streamed by the kernel; p_i = 0 (or an unreachable row)
       // keeps lu_i = −inf, matching the linear-domain 0/0 := 0 convention.
       /*row_update=*/
-      [&](const linalg::Vector& lvv, linalg::Vector& next_lu) {
+      [&](const linalg::Vector& lvv, const linalg::Vector& lu,
+          linalg::Vector& next_lu) {
         kernel.LogApply(lvv, lse_rows);
         for (size_t i = 0; i < m; ++i) {
           next_lu[i] = (log_p[i] == kNegInf || lse_rows[i] == kNegInf)
                            ? kNegInf
                            : exponent * (log_p[i] - lse_rows[i]);
         }
+        return LogPotentialDelta(next_lu, lu);
       },
       /*col_update=*/
-      [&](const linalg::Vector& luu, linalg::Vector& next_lv) {
+      [&](const linalg::Vector& luu, const linalg::Vector& lv,
+          linalg::Vector& next_lv) {
         kernel.LogApplyTranspose(luu, out.lse_cols);
         for (size_t j = 0; j < n; ++j) {
           next_lv[j] = (log_q[j] == kNegInf || out.lse_cols[j] == kNegInf)
                            ? kNegInf
                            : exponent * (log_q[j] - out.lse_cols[j]);
         }
-      },
-      /*delta=*/LogPotentialDelta));
+        return LogPotentialDelta(next_lv, lv);
+      }));
   return out;
 }
 

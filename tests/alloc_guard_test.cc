@@ -16,11 +16,13 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <array>
 #include <new>
 
 #include "common/random.h"
 #include "core/fast_otclean.h"
 #include "core/solve_cache.h"
+#include "linalg/simd.h"
 #include "prob/domain.h"
 #include "prob/independence.h"
 #include "prob/joint.h"
@@ -282,6 +284,39 @@ TEST(AllocGuardTest, CiProjectorAllocatesNothingAfterConstruction) {
   const prob::JointDistribution projected =
       prob::MultiCiProjection(problem.p_data, cis);
   EXPECT_GT(scope.dense_scale_allocs(), 0u);
+}
+
+TEST(AllocGuardTest, ScalingUpdateAllocatesNothing) {
+  // The relaxed Sinkhorn half-update runs twice per inner iteration; it
+  // writes into the caller's buffers and must not allocate on any tier.
+  // Static buffers: a heap vector in this file's test bodies trips gcc's
+  // -Wmismatched-new-delete against the replaced operator new above.
+  constexpr size_t n = 1000;
+  static std::array<double, n> marginal, denom, prev, next;
+  for (size_t i = 0; i < n; ++i) {
+    marginal[i] = 1.0 + static_cast<double>(i);
+    denom[i] = 0.5 + static_cast<double>(i % 7);
+    prev[i] = 1.0;
+  }
+  linalg::simd::ScalingUpdate(marginal.data(), denom.data(), 0.9,
+                              prev.data(), next.data(), n);  // dispatch init
+  const linalg::simd::Isa saved = linalg::simd::ActiveIsa();
+  for (linalg::simd::Isa isa : linalg::simd::SupportedIsas()) {
+    linalg::simd::SetIsa(isa);
+    double residual = 0.0;
+    size_t allocs = 0;
+    {
+      TrackingScope scope(/*dense_scale_bytes=*/1);
+      for (double e : {1.0, 0.998, 0.5}) {
+        residual += linalg::simd::ScalingUpdate(
+            marginal.data(), denom.data(), e, prev.data(), next.data(), n);
+      }
+      allocs = scope.dense_scale_allocs();
+    }
+    EXPECT_EQ(allocs, 0u) << linalg::simd::IsaName(isa);
+    EXPECT_GT(residual, 0.0);
+  }
+  linalg::simd::SetIsa(saved);
 }
 
 }  // namespace

@@ -50,23 +50,13 @@ TEST(VectorTest, ArithmeticOperators) {
   EXPECT_DOUBLE_EQ(e[1], 2.0);
 }
 
-TEST(VectorTest, CwiseProductAndSafeQuotient) {
+TEST(VectorTest, CwiseProduct) {
   Vector a(std::vector<double>{2.0, 0.0, 6.0});
   Vector b(std::vector<double>{4.0, 0.0, 0.0});
   Vector prod = a.CwiseProduct(b);
   EXPECT_DOUBLE_EQ(prod[0], 8.0);
-  Vector q = a.CwiseQuotientSafe(b);
-  EXPECT_DOUBLE_EQ(q[0], 0.5);
-  EXPECT_DOUBLE_EQ(q[1], 0.0);  // 0/0 := 0
-  EXPECT_DOUBLE_EQ(q[2], 0.0);  // x/0 := 0
-}
-
-TEST(VectorTest, CwisePowPreservesZeros) {
-  Vector a(std::vector<double>{4.0, 0.0, 9.0});
-  Vector p = a.CwisePow(0.5);
-  EXPECT_DOUBLE_EQ(p[0], 2.0);
-  EXPECT_DOUBLE_EQ(p[1], 0.0);
-  EXPECT_DOUBLE_EQ(p[2], 3.0);
+  EXPECT_DOUBLE_EQ(prod[1], 0.0);
+  EXPECT_DOUBLE_EQ(prod[2], 0.0);
 }
 
 TEST(VectorTest, CwiseExpAndLogSafe) {

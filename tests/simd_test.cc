@@ -4,11 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "common/random.h"
+#include "linalg/fp_env.h"
+#include "linalg/simd_exp.h"
 #include "linalg/thread_pool.h"
 #include "linalg/transport_kernel.h"
 #include "ot/sinkhorn.h"
@@ -291,6 +297,293 @@ TEST(SimdExactTest, IntegerValuedSumsAreExactInEveryTier) {
     ScopedIsa scoped(isa);
     EXPECT_EQ(Sum(a.data(), a.size()), expected) << IsaName(isa);
     EXPECT_EQ(Dot(a.data(), ones.data(), a.size()), expected) << IsaName(isa);
+  }
+}
+
+// ------------------------------------------------ relaxed scaling update --
+
+// The update ScalingUpdate replaced, copied verbatim as the test oracle:
+// the per-element quotient → std::pow → clamp of the old scalar loop, and
+// its separate max-relative-change pass.
+double ReferenceScale(double marginal, double denom, double exponent) {
+  constexpr double kMax = 1e150;
+  double s = denom != 0.0 ? marginal / denom : 0.0;
+  if (exponent != 1.0) s = s > 0.0 ? std::pow(s, exponent) : 0.0;
+  if (std::isnan(s) || s < 0.0) {
+    s = 0.0;
+  } else if (s > kMax) {
+    s = kMax;
+  }
+  return s;
+}
+
+double ReferenceScalingDelta(const std::vector<double>& a,
+                             const std::vector<double>& b) {
+  double d = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] == b[i]) continue;  // equal scalings, and 0 vs 0
+    if (a[i] == 0.0 || b[i] == 0.0) {
+      return std::numeric_limits<double>::infinity();
+    }
+    d = std::max(d, std::fabs(a[i] - b[i]) / b[i]);
+  }
+  return d;
+}
+
+const double kScalingExponents[] = {1.0,    0.5,   0.9,
+                                    0.9756, 0.998, 0.99999};
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+/// Marginal/denominator/previous-scaling triples covering every branch of
+/// the scaling policy: log-uniform quotients in [1e-300, 1e300] with every
+/// third slot a special case, so short lengths see them in vector lanes
+/// and in the scalar tail alike.
+struct ScalingInputs {
+  std::vector<double> marginal, denom, prev;
+};
+
+ScalingInputs MakeScalingInputs(size_t n, uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  constexpr double kMaxDouble = std::numeric_limits<double>::max();
+  constexpr double kSubnormal = std::numeric_limits<double>::denorm_min();
+  // {marginal, denom}
+  const double specials[][2] = {
+      {0.0, 1.0},        {-0.0, 1.0},       {-2.5, 1.0},
+      {kSubnormal, 1.0}, {1e-310, 1.0},     {kMinNormal, 1.0},
+      {1e150, 1.0},      {1e300, 1.0},      {kMaxDouble, 1.0},
+      {kInf, 1.0},       {kNaN, 1.0},       {0.3, 0.0},
+      {0.0, 0.0},        {0.3, -0.0},       {0.0, 0.7},
+      {1e-300, 1e10},    {2.0, 1e-320},     {1.0, kNaN},
+      {1.0, kInf},       {3.0, -2.0},       {1e300, 1e-300},
+  };
+  const size_t num_specials = std::size(specials);
+  Rng rng(seed);
+  ScalingInputs in;
+  in.marginal.resize(n);
+  in.denom.resize(n);
+  in.prev.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 3 == 1) {
+      const auto& sp = specials[(i / 3 + seed) % num_specials];
+      in.marginal[i] = sp[0];
+      in.denom[i] = sp[1];
+    } else {
+      in.marginal[i] = std::exp((rng.NextDouble() * 2.0 - 1.0) * 690.0);
+      in.denom[i] = i % 3 == 0 ? 1.0 : 0.5 + rng.NextDouble();
+    }
+    // Previous scalings: one in six zero, the rest positive
+    // (RunScalingUpdate makes some equal to the new ones).
+    in.prev[i] = rng.NextInt(0, 5) == 0
+                     ? 0.0
+                     : std::exp((rng.NextDouble() - 0.5) * 40.0);
+  }
+  return in;
+}
+
+struct ScalingRun {
+  std::vector<double> prev, next;
+  double residual = 0.0;
+};
+
+/// Runs ScalingUpdate on the active tier; every fifth prev entry is first
+/// set to the scaling the tier is about to write, so "unchanged" lanes
+/// occur.
+ScalingRun RunScalingUpdate(const ScalingInputs& in, double exponent) {
+  const size_t n = in.marginal.size();
+  ScalingRun run;
+  run.prev = in.prev;
+  run.next.assign(n, -1.0);
+  ScalingUpdate(in.marginal.data(), in.denom.data(), exponent,
+                in.prev.data(), run.next.data(), n);
+  for (size_t i = 0; i < n; i += 5) run.prev[i] = run.next[i];
+  run.residual = ScalingUpdate(in.marginal.data(), in.denom.data(), exponent,
+                               run.prev.data(), run.next.data(), n);
+  return run;
+}
+
+void ExpectScalingUpdateBitIdenticalAcrossTiers() {
+  for (size_t n : kSizes) {
+    for (double e : kScalingExponents) {
+      const ScalingInputs in = MakeScalingInputs(n, 11 + n);
+      ScalingRun ref;
+      {
+        ScopedIsa scoped(Isa::kScalar);
+        ref = RunScalingUpdate(in, e);
+      }
+      for (Isa isa : VectorIsas()) {
+        ScopedIsa scoped(isa);
+        const ScalingRun run = RunScalingUpdate(in, e);
+        EXPECT_EQ(Bits(run.residual), Bits(ref.residual))
+            << IsaName(isa) << " n=" << n << " e=" << e;
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(Bits(run.next[i]), Bits(ref.next[i]))
+              << IsaName(isa) << " n=" << n << " e=" << e << " i=" << i
+              << " marginal=" << in.marginal[i] << " denom=" << in.denom[i];
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdScalingTest, BitIdenticalAcrossTiers) {
+  ExpectScalingUpdateBitIdenticalAcrossTiers();
+}
+
+TEST(SimdScalingTest, BitIdenticalAcrossTiersWithSubnormalsFlushed) {
+  ScopedFlushSubnormals flush;
+  ExpectScalingUpdateBitIdenticalAcrossTiers();
+}
+
+TEST(SimdScalingTest, RelaxedPowerIsAccurate) {
+  // Quotients e^t for |t| ≤ 690 against std::pow: within 1e-14 relative
+  // and 4 ulp for every e ∈ [0.5, 1) — 2 ulp measured, the exp argument
+  // being carried in two doubles — and so at the relaxed exponents
+  // FastOTClean runs (e = λ/(λ+ε) ≥ 0.998 at λ/ε ≥ 500).
+  const size_t n = 20000;
+  Rng rng(97);
+  std::vector<double> x(n), ones(n, 1.0), prev(n, 1.0), next(n);
+  for (double& v : x) v = std::exp((rng.NextDouble() * 2.0 - 1.0) * 690.0);
+  for (double e : {0.5, 0.6, 0.75, 0.9, 0.9756, 0.99, 0.998, 0.999,
+                   0.99999}) {
+    for (Isa isa : SupportedIsas()) {
+      ScopedIsa scoped(isa);
+      ScalingUpdate(x.data(), ones.data(), e, prev.data(), next.data(), n);
+      double max_rel = 0.0, max_ulp = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        const double ref = std::min(std::pow(x[i], e), 1e150);
+        max_rel = std::max(max_rel, std::fabs(next[i] - ref) / ref);
+        const double ulp =
+            std::nextafter(ref, std::numeric_limits<double>::infinity()) -
+            ref;
+        if (ref < 1e150) {
+          max_ulp = std::max(max_ulp, std::fabs(next[i] - ref) / ulp);
+        }
+      }
+      EXPECT_LE(max_rel, 1e-14) << IsaName(isa) << " e=" << e;
+      EXPECT_LE(max_ulp, 4.0) << IsaName(isa) << " e=" << e;
+    }
+  }
+}
+
+TEST(SimdScalingTest, UnitExponentIsQuotientAndClampExactly) {
+  for (size_t n : kSizes) {
+    const ScalingInputs in = MakeScalingInputs(n, 3 + n);
+    for (Isa isa : SupportedIsas()) {
+      ScopedIsa scoped(isa);
+      std::vector<double> next(n);
+      ScalingUpdate(in.marginal.data(), in.denom.data(), 1.0, in.prev.data(),
+                    next.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(Bits(next[i]),
+                  Bits(ReferenceScale(in.marginal[i], in.denom[i], 1.0)))
+            << IsaName(isa) << " marginal=" << in.marginal[i]
+            << " denom=" << in.denom[i];
+      }
+    }
+  }
+}
+
+TEST(SimdScalingTest, RelaxedExponentKeepsTheScalingPolicy) {
+  // The new power follows the old policy branch for branch — the same
+  // zeros, the same ceiling, finite elsewhere — except that a subnormal
+  // quotient gives 0 at e < 1 (at e = 1 it is the quotient, as before).
+  const ScalingInputs in = MakeScalingInputs(300, 5);
+  for (double e : kScalingExponents) {
+    for (Isa isa : SupportedIsas()) {
+      ScopedIsa scoped(isa);
+      std::vector<double> next(in.marginal.size());
+      ScalingUpdate(in.marginal.data(), in.denom.data(), e, in.prev.data(),
+                    next.data(), next.size());
+      for (size_t i = 0; i < next.size(); ++i) {
+        const double q = in.denom[i] != 0.0 ? in.marginal[i] / in.denom[i]
+                                            : 0.0;
+        if (e != 1.0 && q > 0.0 && q < std::numeric_limits<double>::min()) {
+          EXPECT_EQ(Bits(next[i]), Bits(0.0)) << IsaName(isa) << " q=" << q;
+          continue;
+        }
+        const double ref = ReferenceScale(in.marginal[i], in.denom[i], e);
+        if (ref == 0.0 || ref == 1e150) {
+          EXPECT_EQ(next[i], ref) << IsaName(isa) << " e=" << e << " q=" << q;
+        } else {
+          EXPECT_NEAR(next[i], ref, 1e-14 * ref)
+              << IsaName(isa) << " e=" << e << " q=" << q;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdScalingTest, ResidualIsTheOldScalingDelta) {
+  for (size_t n : kSizes) {
+    for (double e : kScalingExponents) {
+      const ScalingInputs in = MakeScalingInputs(n, 29 + n);
+      for (Isa isa : SupportedIsas()) {
+        ScopedIsa scoped(isa);
+        const ScalingRun run = RunScalingUpdate(in, e);
+        EXPECT_EQ(Bits(run.residual),
+                  Bits(ReferenceScalingDelta(run.next, run.prev)))
+            << IsaName(isa) << " n=" << n << " e=" << e;
+      }
+    }
+  }
+  // NaN and negative previous scalings: ignored unless a side is zero.
+  const std::vector<double> marginal = {1.0, 2.0, 0.0, 4.0};
+  const std::vector<double> denom(4, 1.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<double>& prev :
+       {std::vector<double>{nan, 1.0, nan, -3.0},
+        std::vector<double>{1.0, -1.0, 0.0, nan}}) {
+    for (Isa isa : SupportedIsas()) {
+      ScopedIsa scoped(isa);
+      std::vector<double> next(4);
+      const double res = ScalingUpdate(marginal.data(), denom.data(), 0.9,
+                                       prev.data(), next.data(), 4);
+      EXPECT_EQ(Bits(res), Bits(ReferenceScalingDelta(next, prev)))
+          << IsaName(isa);
+    }
+  }
+}
+
+TEST(SimdScalingTest, SubnormalQuotientsGiveZeroInEveryMode) {
+  const std::vector<double> marginal = {
+      std::numeric_limits<double>::denorm_min(), 1e-310, 1e-300, 2e-308};
+  const std::vector<double> denom = {1.0, 1.0, 1e10, 1.0};
+  const std::vector<double> prev(4, 1.0);
+  for (bool flush : {false, true}) {
+    std::optional<ScopedFlushSubnormals> scope;
+    if (flush) scope.emplace();
+    for (Isa isa : SupportedIsas()) {
+      ScopedIsa scoped(isa);
+      for (double e : {0.5, 0.998}) {
+        std::vector<double> next(4, -1.0);
+        ScalingUpdate(marginal.data(), denom.data(), e, prev.data(),
+                      next.data(), 4);
+        for (size_t i = 0; i < 4; ++i) {
+          EXPECT_EQ(Bits(next[i]), Bits(0.0))
+              << IsaName(isa) << " flush=" << flush << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdScalingTest, PolyLogMatchesStdLog) {
+  Rng rng(41);
+  for (int i = 0; i < 20000; ++i) {
+    const double x = std::exp((rng.NextDouble() * 2.0 - 1.0) * 700.0);
+    double hi, lo, k, m;
+    PolyLog(x, hi, lo, k, m);
+    const double ref = std::log(x);
+    EXPECT_NEAR(hi + lo, ref, 2.3e-16 * std::max(std::fabs(ref), 1e-300))
+        << "x=" << x;
+    EXPECT_EQ(std::ldexp(m, static_cast<int>(k)), x);
   }
 }
 
