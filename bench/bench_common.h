@@ -54,7 +54,6 @@ inline core::RepairOptions BenchRepairOptions() {
   opts.fast.outer_tolerance = 1e-6;
   opts.fast.max_sinkhorn_iterations = 400;
   opts.fast.sinkhorn_tolerance = 1e-8;
-  opts.fast.restrict_columns_to_active = true;
   return opts;
 }
 

@@ -3,7 +3,7 @@
 // initialization of Q.
 //
 // Reproduction targets: (a) runtime/memory grow polynomially with the
-// domain (the plan is |active| x |domain|), staying practical into the
+// domain (the plan is |active| x |active|), staying practical into the
 // thousands of cells; (b) the objective decreases monotonically (Theorem
 // 4.3) and the NMF initialization converges in fewer outer iterations.
 
@@ -33,8 +33,7 @@ ScaleResult RunOnce(size_t num_z, size_t z_card, size_t rows) {
   for (size_t i = 0; i < num_z; ++i) zs.push_back("z" + std::to_string(i));
   const core::CiConstraint ci({"x"}, {"y"}, zs);
 
-  core::RepairOptions opts = bench::BenchRepairOptions();
-  opts.fast.restrict_columns_to_active = false;  // full-domain columns
+  const core::RepairOptions opts = bench::BenchRepairOptions();
   core::OtCleanRepairer repairer(ci, opts);
   WallTimer timer;
   const auto status = repairer.Fit(table);

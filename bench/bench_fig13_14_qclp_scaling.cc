@@ -37,8 +37,7 @@ Point RunOnce(size_t num_z, size_t z_card, bool run_qclp) {
   Point out;
   out.domain = p.domain().TotalSize();
   {
-    core::FastOtCleanOptions opts = bench::BenchRepairOptions().fast;
-    opts.restrict_columns_to_active = false;
+    const core::FastOtCleanOptions opts = bench::BenchRepairOptions().fast;
     Rng rng(132);
     WallTimer timer;
     const auto r = core::FastOtClean(p, spec, cost, opts, rng);

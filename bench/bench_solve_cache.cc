@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
       job.constraints = {ci};
       job.options = bench::BenchRepairOptions();
       // Clean the full joint (w-attributes included): the kernel streams
-      // active_rows x |domain| costs at build, which is the work the cache
+      // active² costs at build, which is the work the cache
       // skips on repeated keys. Gentle lambda + loose-ish tolerances so
       // every job converges, and an aggressive cutoff so iteration work
       // stays O(small nnz).

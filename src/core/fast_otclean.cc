@@ -18,7 +18,6 @@
 #include "linalg/simd.h"
 #include "linalg/simd_exp.h"
 #include "linalg/thread_pool.h"
-#include "nmf/kl_nmf.h"
 #include "ot/kernel_factory.h"
 
 namespace otclean::core {
@@ -81,8 +80,7 @@ struct OuterLoopKernel {
   /// plan is allocated, so a dense linear repair never holds cost, kernel
   /// and plan at once (the solve cache may still hold its own copy).
   ot::TransportPlan MaterializePlan(const prob::Domain& dom,
-                                    const std::vector<size_t>& row_cells,
-                                    const std::vector<size_t>& col_cells,
+                                    const std::vector<size_t>& cells,
                                     const linalg::Vector& u,
                                     const linalg::Vector& v,
                                     double& transport_cost) {
@@ -90,11 +88,9 @@ struct OuterLoopKernel {
     build.dense_cost.reset();
     return Visit([&](const auto& k) {
       if constexpr (ot::kIsSparseKernel<std::decay_t<decltype(k)>>) {
-        return ot::TransportPlan(dom, row_cells, col_cells,
-                                 k.ScaleToPlanSparse(u, v));
+        return ot::TransportPlan(dom, cells, cells, k.ScaleToPlanSparse(u, v));
       } else {
-        return ot::TransportPlan(dom, row_cells, col_cells,
-                                 k.ScaleToPlan(u, v));
+        return ot::TransportPlan(dom, cells, cells, k.ScaleToPlan(u, v));
       }
     });
   }
@@ -182,25 +178,22 @@ class NanPoisonedCostView final : public linalg::CostProvider {
 
 /// Stable identity of a FastOTClean solve's restricted cost stream. The
 /// cost fingerprint alone is not enough: the kernel's values depend on
-/// which tuples the active-domain restriction decodes at each row/column,
-/// so the domain shape and both cell lists are folded in. This combined
-/// fingerprint keys the outer kernel in the solve cache, so repairs of the
-/// same table share one cached kernel. 0 when the cost is
+/// which tuples the active-domain restriction decodes at each row and
+/// column, so the domain shape and the active cell list are folded in.
+/// This combined fingerprint keys the outer kernel in the solve cache, so
+/// repairs of the same table share one cached kernel. 0 when the cost is
 /// unfingerprintable (caching off).
 uint64_t FastCostFingerprint(const ot::CostFunction& cost,
                              const prob::Domain& dom,
-                             const std::vector<size_t>& row_cells,
-                             const std::vector<size_t>& col_cells) {
+                             const std::vector<size_t>& cells) {
   const uint64_t fp = cost.Fingerprint();
   if (fp == 0) return 0;
   uint64_t h = HashMix(kHashSeed, 0xFA57u);
   h = HashMix(h, fp);
   h = HashMix(h, dom.num_attrs());
   for (size_t c : dom.cardinalities()) h = HashMix(h, c);
-  h = HashMix(h, row_cells.size());
-  for (size_t c : row_cells) h = HashMix(h, c);
-  h = HashMix(h, col_cells.size());
-  for (size_t c : col_cells) h = HashMix(h, c);
+  h = HashMix(h, cells.size());
+  for (size_t c : cells) h = HashMix(h, c);
   return h == 0 ? 1 : h;
 }
 
@@ -212,64 +205,15 @@ void ExpandToDomain(const std::vector<size_t>& cells,
   for (size_t i = 0; i < cells.size(); ++i) out[cells[i]] = mass[i];
 }
 
-/// CI projection of `t` onto `projector`'s one constraint computed by
-/// per-z-slice iterative Lee–Seung rank-one NMF, used when
-/// options.iterative_nmf is set; writes `q`. Produces the same distribution
-/// as prob::CiProjection at convergence.
-void IterativeNmfProjection(prob::CiProjector& projector,
-                            const prob::JointDistribution& t,
-                            size_t nmf_max_iterations, Rng& rng,
-                            prob::JointDistribution& q) {
-  // Slice layout: for each z cell, matrix A_z of size d_X × d_Y where
-  // (x, y) aggregates all cells with those X/Y/Z projections. For a
-  // saturated constraint every cell maps uniquely to (x, y, z).
-  const prob::CiProjector::SpecIndex& ix = projector.index(0);
-  const size_t dx = ix.dx;
-  const size_t dy = ix.dy;
-  const size_t dz = ix.dz;
-
-  // Aggregate P(x, y, z).
-  std::vector<linalg::Matrix> slices(dz, linalg::Matrix(dx, dy, 0.0));
-  for (size_t cell = 0; cell < t.size(); ++cell) {
-    const double p = t[cell];
-    if (p <= 0.0) continue;
-    slices[ix.ZIndex(cell)](ix.XIndex(cell), ix.YIndex(cell)) += p;
-  }
-
-  // Factorize each slice: A_z ≈ W_z · H_zᵀ (Algorithm 2 lines 8–12).
-  std::vector<linalg::Matrix> approx(dz, linalg::Matrix(dx, dy, 0.0));
-  nmf::KlNmfOptions nmf_opts;
-  nmf_opts.rank = 1;
-  nmf_opts.max_iterations = nmf_max_iterations;
-  for (size_t zi = 0; zi < dz; ++zi) {
-    if (slices[zi].Sum() <= 0.0) continue;
-    auto r = nmf::KlNmf(slices[zi], nmf_opts, rng);
-    if (r.ok()) {
-      approx[zi] =
-          linalg::Matrix::OuterProduct(r->w.Col(0), r->h.Row(0));
-    } else {
-      approx[zi] = slices[zi];
-    }
-  }
-
-  // Reassemble q over the full domain, carrying P(rest | x,y,z) along.
-  projector.ConditionalOnXyz(0, t.probs(), q.probs());
-  for (size_t cell = 0; cell < q.size(); ++cell) {
-    q[cell] = approx[ix.ZIndex(cell)](ix.XIndex(cell), ix.YIndex(cell)) *
-              q[cell];
-  }
-  q.Normalize();
-}
-
 /// Algorithm 2's alternating loop, for one constraint or many: step A
 /// solves the relaxed OT problem against the current target Q on the
 /// repair's one kernel, step B re-projects the plan's target marginal onto
-/// the CI set. The projection is the only thing that varies: per-slice
-/// iterative KL-NMF (`options.iterative_nmf`, one constraint only), else
-/// the cyclic CI projection (prob::MultiCiProjection's sweeps). One
-/// prob::CiProjector serves every projection of the repair, and every
-/// per-step distribution lives in a buffer allocated once. `where` names
-/// the public entry point in errors.
+/// the CI set by the closed-form projection (prob::MultiCiProjection's
+/// cyclic sweeps; with one constraint, the rank-one KL-NMF of each slice).
+/// The plan's rows and columns are both supp(P_D), where the projection
+/// keeps Q. One prob::CiProjector serves every projection of the repair,
+/// and every per-step distribution lives in a buffer allocated once.
+/// `where` names the public entry point in errors.
 Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
                                        const std::vector<prob::CiSpec>& cis,
                                        const ot::CostFunction& cost,
@@ -283,16 +227,8 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
   if (cis.empty()) {
     return Status::InvalidArgument(name + ": no constraints");
   }
-  if (options.iterative_nmf && cis.size() > 1) {
-    return Status::InvalidArgument(
-        name + ": iterative_nmf factorizes one constraint's slices and "
-               "supports exactly one constraint");
-  }
   if (std::fabs(p_data.Mass() - 1.0) > 1e-6) {
     return Status::InvalidArgument(name + ": p_data must be normalized");
-  }
-  if (options.ci_strength < 0.0 || options.ci_strength > 1.0) {
-    return Status::InvalidArgument(name + ": ci_strength must be in [0,1]");
   }
   ot::SinkhornOptions sink = InnerSolveOptions(options);
   OTCLEAN_RETURN_NOT_OK(ot::ValidateSinkhornOptions(where, sink));
@@ -301,26 +237,20 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
                                    ": max_outer_iterations must be > 0");
   }
 
-  // Active-domain restriction (Section 5, default optimization 1).
-  std::vector<size_t> row_cells;
+  // Active-domain restriction (Section 5, default optimization 1) of the
+  // plan's rows and columns alike.
+  std::vector<size_t> cells;
   for (size_t i = 0; i < p_data.size(); ++i) {
-    if (p_data[i] > 0.0) row_cells.push_back(i);
+    if (p_data[i] > 0.0) cells.push_back(i);
   }
-  if (row_cells.empty()) {
+  if (cells.empty()) {
     return Status::InvalidArgument(name + ": p_data carries no mass");
   }
-  std::vector<size_t> col_cells;
-  if (options.restrict_columns_to_active) {
-    col_cells = row_cells;
-  } else {
-    col_cells.resize(dom.TotalSize());
-    for (size_t i = 0; i < col_cells.size(); ++i) col_cells[i] = i;
-  }
 
-  linalg::Vector p(row_cells.size());
-  for (size_t i = 0; i < row_cells.size(); ++i) p[i] = p_data[row_cells[i]];
+  linalg::Vector p(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) p[i] = p_data[cells[i]];
 
-  const ot::FunctionCostProvider cost_view(dom, row_cells, col_cells, cost);
+  const ot::FunctionCostProvider cost_view(dom, cells, cells, cost);
   // The same finite-cost guard RunSinkhorn/RunSinkhornSparse apply: a NaN
   // or ±inf from a user cost function would otherwise be silently
   // truncated away (NaN >= cutoff is false) or flushed to 0 by the log
@@ -350,11 +280,7 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
     for (size_t i = 0; i < q.size(); ++i) q[i] = rng.NextDouble();
     q.Normalize();
   }
-  if (options.iterative_nmf) {
-    projector.ProjectOnto(0, q.probs());
-  } else {
-    projector.Project(q.probs());
-  }
+  projector.Project(q.probs());
 
   // One worker pool for the whole repair: every Sinkhorn iteration of
   // every outer step dispatches on it, so workers start once per repair.
@@ -364,11 +290,11 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
 
   sink.cache_cost_fingerprint =
       options.solve_cache != nullptr && !poison_kernel
-          ? FastCostFingerprint(cost, dom, row_cells, col_cells)
+          ? FastCostFingerprint(cost, dom, cells)
           : 0;
   const ot::KernelSpec spec = FastKernelSpec(options, pool);
   const SolveCacheKey cache_key = ot::KernelCacheKey(
-      sink.cache_cost_fingerprint, row_cells.size(), col_cells.size(), spec);
+      sink.cache_cost_fingerprint, cells.size(), cells.size(), spec);
   MaybeInjectAllocFailure(options.fault_injector);
   OuterLoopKernel kernel(build_view, spec, options.solve_cache, cache_key);
   // Truncation must not strand source mass: every active-domain row needs
@@ -386,18 +312,17 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
   }
   // The first solve starts cold; every later one from the previous step.
   linalg::Vector warm_u, warm_v;
-  // Per-step buffers: Q's column cells, the plan's column marginal, that
-  // marginal over the whole domain, and its projection.
-  linalg::Vector q_cols(col_cells.size());
-  linalg::Vector target_mass(col_cells.size());
-  prob::JointDistribution t(dom);
+  // Per-step buffers: Q at the plan's columns, the plan's column marginal,
+  // and that marginal over the whole domain, projected in place.
+  linalg::Vector q_cols(cells.size());
+  linalg::Vector target_mass(cells.size());
   prob::JointDistribution q_proj(dom);
 
   for (size_t outer = 0; outer < options.max_outer_iterations; ++outer) {
     OTCLEAN_RETURN_NOT_OK(
         CheckStop(options.cancel_token, options.deadline, where));
     // --- Outer step A: transport plan against the current Q (Sinkhorn). ---
-    for (size_t j = 0; j < col_cells.size(); ++j) q_cols[j] = q[col_cells[j]];
+    for (size_t j = 0; j < cells.size(); ++j) q_cols[j] = q[cells[j]];
     const linalg::Vector* wu =
         (options.warm_start && warm_u.size() == p.size()) ? &warm_u : nullptr;
     const linalg::Vector* wv =
@@ -429,24 +354,8 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
       return Status::Internal(name + ": plan lost all mass");
     }
     target_mass /= total;
-    ExpandToDomain(col_cells, target_mass, t);
-    if (options.iterative_nmf) {
-      IterativeNmfProjection(projector, t, options.nmf_max_iterations, rng,
-                             q_proj);
-    } else {
-      q_proj.probs() = t.probs();
-      projector.Project(q_proj.probs());
-    }
-
-    if (options.ci_strength < 1.0) {
-      // Soft enforcement: blend projection with the raw marginal (finite μ).
-      for (size_t i = 0; i < q_proj.size(); ++i) {
-        q_proj[i] =
-            options.ci_strength * q_proj[i] +
-            (1.0 - options.ci_strength) * t[i];
-      }
-      q_proj.Normalize();
-    }
+    ExpandToDomain(cells, target_mass, q_proj);
+    projector.Project(q_proj.probs());
 
     // Converged only when both loops are: a small ΔQ after inexact inner
     // sweeps (cold-started ones especially) can be a stall, not a solution.
@@ -459,8 +368,8 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
     }
   }
 
-  result.plan = kernel.MaterializePlan(dom, row_cells, col_cells, warm_u,
-                                       warm_v, result.transport_cost);
+  result.plan = kernel.MaterializePlan(dom, cells, warm_u, warm_v,
+                                       result.transport_cost);
   result.target_cmi = projector.MaxCmi(q.probs());
   result.target = std::move(q);
   return result;

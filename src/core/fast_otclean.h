@@ -25,10 +25,6 @@ struct FastOtCleanOptions {
   double epsilon = 0.1;
   /// Marginal-relaxation coefficient λ of the relaxed OT objective (Eq. 11).
   double lambda = 50.0;
-  /// CI-enforcement strength in [0,1]; 1 projects the target exactly onto
-  /// the CI set each outer step (the μ→∞ limit of Eq. 11), smaller values
-  /// blend the projection with the raw target marginal.
-  double ci_strength = 1.0;
   /// Outer (Algorithm 2) steps before the run stops unconverged.
   size_t max_outer_iterations = 5000;
   /// Outer convergence threshold: total-variation change of Q.
@@ -51,18 +47,11 @@ struct FastOtCleanOptions {
   /// runs need an inner budget that solves each step on its own.
   bool warm_start = true;
   /// Section 5: initialize Q by the CI projection (NMF) of P_D instead of a
-  /// random distribution.
+  /// random distribution. Either way the plan's rows and columns are the
+  /// active domain supp(P_D): the CI projection keeps zero cells at zero,
+  /// so from P_D the target never leaves it, and a random start's mass
+  /// outside it is never reached by the plan.
   bool nmf_init = true;
-  /// Restrict plan *columns* to the active domain too (plan rows are always
-  /// restricted to cells with P_D > 0). Keeping the full column support lets
-  /// the cleaner move mass to unseen tuples (as in Example 3.4).
-  bool restrict_columns_to_active = false;
-  /// Use the iterative Lee–Seung KL-NMF in the inner loop instead of the
-  /// closed-form rank-one projection (they coincide at convergence; the
-  /// closed form is the default because it is exact and faster). One
-  /// constraint only: FastOtCleanMulti rejects it with two or more.
-  bool iterative_nmf = false;
-  size_t nmf_max_iterations = 200;
   /// When > 0, run the inner Sinkhorn on a *sparse* truncated kernel:
   /// entries of K = e^{−C/ε} below this cutoff are dropped (the sparse
   /// transport-plan representation of Section 6.5). Cuts memory and time on
@@ -174,8 +163,7 @@ Result<FastOtCleanResult> FastOtClean(const prob::JointDistribution& p_data,
 /// *all* the given CI specs simultaneously by replacing the inner rank-one
 /// projection with cyclic I-projections onto each constraint (IPF-style).
 /// `target_cmi` in the result is the largest residual CMI across the
-/// constraints. `options.iterative_nmf` is honoured with exactly one spec
-/// (bit-identical to FastOtClean) and is InvalidArgument with two or more.
+/// constraints. With one spec it is FastOtClean bit for bit.
 Result<FastOtCleanResult> FastOtCleanMulti(
     const prob::JointDistribution& p_data,
     const std::vector<prob::CiSpec>& cis, const ot::CostFunction& cost,

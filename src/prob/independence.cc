@@ -191,8 +191,15 @@ double CiProjector::CmiAccumulated(const Spec& s, const linalg::Vector& p,
     const double pxz = s.xz[ix.xz[cell]];
     const double pyz = s.yz[ix.yz[cell]];
     const double pz = ix.has_z ? s.z[ix.z[cell]] : 1.0;
-    // pxz, pyz > 0 whenever pxyz > 0 (they dominate it).
-    cmi += pxyz * std::log((pxyz * pz) / (pxz * pyz));
+    // pxz, pyz > 0 whenever pxyz > 0 (they dominate it), but on subnormal
+    // cells either product can underflow to 0, leaving the ratio 0, inf or
+    // NaN. Only there is the log taken term by term, so every other term
+    // keeps its bits.
+    const double ratio = (pxyz * pz) / (pxz * pyz);
+    cmi += pxyz * (std::isfinite(ratio) && ratio > 0.0
+                       ? std::log(ratio)
+                       : std::log(pxyz) + std::log(pz) - std::log(pxz) -
+                             std::log(pyz));
   }
   // Numerical noise can push an exactly-independent case slightly negative.
   return cmi > 0.0 ? cmi : 0.0;
@@ -248,21 +255,6 @@ double CiProjector::MaxCmi(const linalg::Vector& p) {
     mx = std::max(mx, CmiAccumulated(s, p, mass));
   }
   return mx;
-}
-
-void CiProjector::ConditionalOnXyz(size_t k, const linalg::Vector& p,
-                                   linalg::Vector& out) {
-  Spec& s = specs_[k];
-  const SpecIndex& ix = s.index;
-  if (!ix.saturated) {
-    std::fill(s.xyz.begin(), s.xyz.end(), 0.0);
-    for (size_t cell = 0; cell < p.size(); ++cell) {
-      if (p[cell] != 0.0) s.xyz[ix.xyz[cell]] += p[cell];
-    }
-  }
-  for (size_t cell = 0; cell < p.size(); ++cell) {
-    out[cell] = RestGivenXyz(ix.saturated, ix.xyz, s.xyz, p, cell);
-  }
 }
 
 double ConditionalMutualInformation(const JointDistribution& p,

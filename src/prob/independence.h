@@ -80,11 +80,6 @@ class CiProjector {
   /// Largest CMI of `p` across the constraints (0 for none).
   double MaxCmi(const linalg::Vector& p);
 
-  /// P(rest | x,y,z) of `p` at every cell, as
-  /// JointDistribution::ConditionalOn(X ++ Y ++ Z) computes it.
-  void ConditionalOnXyz(size_t k, const linalg::Vector& p,
-                        linalg::Vector& out);
-
  private:
   struct Spec {
     SpecIndex index;

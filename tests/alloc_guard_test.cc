@@ -82,8 +82,9 @@ namespace otclean::core {
 namespace {
 
 /// A domain big enough that rows×cols dwarfs every legitimate O(nnz) /
-/// O(rows+cols) allocation: 4 attributes of cardinality 6 → 1296 cells;
-/// ~200 active rows × 1296 columns ≈ 2.1 MB per dense plan/cost.
+/// O(rows+cols) allocation: 4 attributes of cardinality 6 → 1296 cells,
+/// 359 of them active. The plan's rows and columns are both the active
+/// cells, so a dense plan/cost is 359 × 359 doubles ≈ 1.03 MB.
 struct Problem {
   prob::Domain dom = prob::Domain::FromCardinalities({6, 6, 6, 6});
   prob::JointDistribution p_data{dom};
@@ -121,7 +122,7 @@ struct Problem {
 TEST(AllocGuardTest, TruncatedSolveNeverAllocatesRowsTimesCols) {
   const Problem problem(2024);
   const size_t rows = problem.active_rows;
-  const size_t cols = problem.dom.TotalSize();
+  const size_t cols = problem.active_rows;
   ASSERT_GT(rows, 100u);
   const size_t dense_bytes = rows * cols * sizeof(double);
 
@@ -158,7 +159,7 @@ TEST(AllocGuardTest, TruncatedLogDomainSolveNeverAllocatesRowsTimesCols) {
   // log-kernel, no dense cost, no dense plan, ever.
   const Problem problem(2024);
   const size_t rows = problem.active_rows;
-  const size_t cols = problem.dom.TotalSize();
+  const size_t cols = problem.active_rows;
   const size_t dense_bytes = rows * cols * sizeof(double);
 
   Rng rng(7);
@@ -247,7 +248,7 @@ TEST(AllocGuardTest, DenseSolveTripsTheInstrument) {
   // zero-count above could pass vacuously.
   const Problem problem(2024);
   const size_t dense_bytes =
-      problem.active_rows * problem.dom.TotalSize() * sizeof(double);
+      problem.active_rows * problem.active_rows * sizeof(double);
 
   Rng rng(7);
   TrackingScope scope(dense_bytes);
@@ -255,6 +256,7 @@ TEST(AllocGuardTest, DenseSolveTripsTheInstrument) {
                                   problem.Options(/*truncation=*/0.0), rng);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->plan.IsSparse());
+  EXPECT_EQ(result->plan.col_cells().size(), problem.active_rows);
   EXPECT_GT(scope.dense_scale_allocs(), 0u);
   EXPECT_GE(scope.max_alloc(), dense_bytes);
 }

@@ -37,11 +37,12 @@ CiConstraint XyGivenZ() { return CiConstraint({"x"}, {"y"}, {"z0"}); }
 /// A solve sized to run for minutes if nobody stops it: an 864-cell domain
 /// (the constraint spans all three z attrs) and tolerances no iterate will
 /// ever meet, so only the iteration budget — or a stop signal — ends it.
-/// Its ~570k-nonzero kernel splits across a 2-thread pool, so a stop lands
-/// on pooled kernel dispatches.
+/// The plan's rows and columns are its 773 active cells; the ~598k-nonzero
+/// kernel clears two chunks of linalg::kMinParallelWork and splits across
+/// a 2-thread pool, so a stop lands on pooled kernel dispatches.
 struct HeavySolve {
   dataset::Table table =
-      MakeViolatingTable(31, /*rows=*/2000, /*num_z_attrs=*/3, /*z_card=*/6);
+      MakeViolatingTable(31, /*rows=*/4000, /*num_z_attrs=*/3, /*z_card=*/6);
   CiConstraint constraint{{"x"}, {"y"}, {"z0", "z1", "z2"}};
   RepairOptions options;
 

@@ -238,11 +238,12 @@ TEST(FaultInjectionTest, PoisonedSolveNeverPublishesToTheCache) {
 // ------------------------------------------------------------ pool faults --
 
 /// A 2*2*7^3 = 1372-cell domain (the constraint must span every z attr —
-/// the cleaned domain only covers constraint columns) whose ~620k-nonzero
-/// kernel splits into >1 chunk per pass, so pool workers — and the chunk
-/// hook — run. Small domains take the inline path.
+/// the cleaned domain only covers constraint columns) with 870 active
+/// cells, the plan's rows and columns: its ~757k-nonzero kernel clears two
+/// chunks of linalg::kMinParallelWork, so each pass splits and pool
+/// workers — and the chunk hook — run. Small tables take the inline path.
 dataset::Table MakeWideTable() {
-  return MakeViolatingTable(45, /*rows=*/600, /*num_z_attrs=*/3,
+  return MakeViolatingTable(45, /*rows=*/2000, /*num_z_attrs=*/3,
                             /*z_card=*/7);
 }
 CiConstraint WideConstraint() {

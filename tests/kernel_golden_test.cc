@@ -4,8 +4,8 @@
 // counts and the exact bits of the potentials, the plan values and the
 // transport cost. Any change to the kernel code that alters a single
 // rounding in any tier fails here. The FastOTClean outer loop is pinned
-// the same way on its other paths: a two-constraint FastOtCleanMulti
-// repair and the iterative-NMF projection.
+// the same way on its multi-constraint path: a two-constraint
+// FastOtCleanMulti repair.
 
 #include <gtest/gtest.h>
 
@@ -198,19 +198,6 @@ Golden FastOtCleanMultiGolden(const Tier& tier) {
           .value());
 }
 
-Golden IterativeNmfGolden(const Tier& tier) {
-  const prob::JointDistribution data =
-      FixedData(prob::Domain::FromCardinalities({3, 2, 4}));
-  const prob::CiSpec ci{{0}, {1}, {2}};
-  const ot::EuclideanCost cost(3);
-  core::FastOtCleanOptions opts = FixedFastOptions(tier);
-  opts.iterative_nmf = true;
-  opts.nmf_max_iterations = 50;
-  Rng solve_rng(17);
-  return HashRepair(
-      core::FastOtClean(data, ci, cost, opts, solve_rng).value());
-}
-
 // Recorded on the scalar tier; one entry per kTiers row, same order.
 constexpr Golden kSinkhornGolden[] = {
     {276, 0x85a67470a1b06c90ull}, {276, 0xcb08201ffd36330eull},
@@ -225,12 +212,11 @@ constexpr Golden kFastOtCleanGolden[] = {
     {2799, 0x604d6e9e80dfef63ull}, {2799, 0x7533016c7a94d7e4ull},
 };
 
-// The outer-loop paths, each on the dense f64 tiers: linear, then log.
+// The multi-constraint path, on the dense f64 tiers: linear, then log.
 constexpr Tier kOuterLoopTiers[] = {kTiers[0], kTiers[1]};
 constexpr Golden kFastOtCleanMultiGolden[] = {
     {2590, 0x670137500f14f469ull}, {2590, 0x990aeef9d89468e9ull},
 };
-constexpr Golden kIterativeNmfGolden = {2799, 0x01eea98c1182fdc4ull};
 
 void ExpectGolden(const Golden& got, const Golden& want, const char* name) {
   EXPECT_EQ(got.iterations, want.iterations) << name;
@@ -267,12 +253,6 @@ TEST(KernelGoldenTest, FastOtCleanMultiTwoSpecsBitExact) {
     ExpectGolden(FastOtCleanMultiGolden(kOuterLoopTiers[t]),
                  kFastOtCleanMultiGolden[t], kOuterLoopTiers[t].name);
   }
-}
-
-TEST(KernelGoldenTest, FastOtCleanIterativeNmfBitExact) {
-  ScalarIsa scalar;
-  ExpectGolden(IterativeNmfGolden(kTiers[0]), kIterativeNmfGolden,
-               kTiers[0].name);
 }
 
 }  // namespace

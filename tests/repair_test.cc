@@ -190,15 +190,22 @@ TEST(RepairTest, DefaultRepairConvergesOnPaperTables) {
   // Algorithm 2 as warm-started 5-sweep steps converges on the paper-scale
   // cleaning tables, in either iteration domain, to the answer of near
   // exact inner solves (references: 20 sweeps per step, outer tolerance
-  // 1e-12).
+  // 1e-12). The plan's rows and columns are both the active cells, so the
+  // dense kernel and plan hold active² entries; the step and iteration
+  // counts are those of the full-domain columns this replaced.
   struct Case {
     datagen::DatasetBundle data;
     double reference_cost;
     double max_final_cmi;
+    size_t active_cells;
+    size_t steps;
+    size_t iterations;
   };
   const Case cases[] = {
-      {datagen::MakeBoston(2000, 903).value(), 0.0255044497, 0.000952},
-      {datagen::MakeCar(1250, 901).value(), 0.0574531454, 0.00250},
+      {datagen::MakeBoston(2000, 903).value(), 0.0255044497, 0.000952, 101,
+       988, 4758},
+      {datagen::MakeCar(1250, 901).value(), 0.0574531454, 0.00250, 210,
+       1696, 8476},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.data.name);
@@ -208,6 +215,10 @@ TEST(RepairTest, DefaultRepairConvergesOnPaperTables) {
     EXPECT_TRUE(linear.converged);
     EXPECT_STREQ(linear.termination, "ok");
     EXPECT_LE(linear.total_sinkhorn_iterations, 20000u);
+    EXPECT_EQ(linear.kernel_nnz, c.active_cells * c.active_cells);
+    EXPECT_EQ(linear.plan_nnz, linear.kernel_nnz);
+    EXPECT_EQ(linear.outer_iterations, c.steps);
+    EXPECT_EQ(linear.total_sinkhorn_iterations, c.iterations);
     EXPECT_NEAR(linear.transport_cost, c.reference_cost,
                 1e-5 * c.reference_cost);
     EXPECT_LE(linear.final_cmi, c.max_final_cmi);

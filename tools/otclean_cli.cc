@@ -267,7 +267,6 @@ Result<core::RepairOptions> BuildRepairOptions(const KvLookup& kv,
           solver + "' would silently ignore it");
     }
   }
-  options.fast.restrict_columns_to_active = true;
   return options;
 }
 
