@@ -10,8 +10,13 @@
 // decline it; each size row also reports the chunk plan the real kernels
 // pick under linalg::kMinParallelWork. The sweep's passes repeat the real
 // kernels' arithmetic, and their outputs are checked bit for bit against
-// DenseTransportKernel / SparseTransportKernel. Results are printed and
-// written to BENCH_parallel_cutoff.json in the working directory.
+// DenseTransportKernel / SparseTransportKernel. The "dense_fused" rows
+// time what the Sinkhorn engine actually runs on a dense kernel: the
+// fused sweep DenseTransportKernel::UpdateRowsApplyTranspose (one kernel
+// pass for the row update and Kᵀu), inline and pooled over the kernel's
+// own shape-fixed row blocks, cross-checked against the split pair plus
+// simd::ScalingUpdate. Results are printed and written to
+// BENCH_parallel_cutoff.json in the working directory.
 //
 // Part 2 — end-to-end Sinkhorn solves, serial vs pooled at every thread
 // count, on problems sized so the pooled runs really dispatch to workers.
@@ -166,7 +171,7 @@ struct SweepRow {
   size_t rows = 0, cols = 0, nnz = 0;
   bool flush = false;
   double serial_us = 0.0, pooled_us = 0.0;
-  size_t kernel_chunks = 0;  ///< chunks the real kernel's Apply uses
+  size_t kernel_chunks = 0;  ///< chunks the real kernel's (fused) pass uses
 };
 
 /// Times serial vs pooled for one kernel, flush off and on; checks the
@@ -216,6 +221,79 @@ bool SweepOne(const char* tier, const Storage& storage, const Kernel& kernel,
   return ok;
 }
 
+/// Times the engine's dense sweep — UpdateRowsApplyTranspose at the
+/// relaxed exponent of λ = 5, ε = 0.1 — inline (one thread, no pool) and
+/// with the pool, flush off and on. The pooled sweep splits only as the
+/// kernel's blocks allow (one block below kMinParallelWork). Checks it
+/// against Apply + ScalingUpdate + ApplyTranspose: scalings and residual
+/// bit for bit, Kᵀu bit for bit on a one-block kernel and to 1e-14
+/// relative otherwise (the blocks' partials are summed in block order).
+bool FusedOne(const linalg::DenseTransportKernel& kernel, size_t threads,
+              linalg::ThreadPool& pool, bool full, Rng& rng,
+              std::vector<SweepRow>& out) {
+  const linalg::DenseTransportKernel serial(kernel.shared_storage(), 1);
+  const linalg::DenseTransportKernel pooled(kernel.shared_storage(), threads,
+                                            &pool);
+  const size_t rows = kernel.rows(), cols = kernel.cols();
+  const linalg::Vector marginal = Scalings(rows, rng);
+  const linalg::Vector v = Scalings(cols, rng);
+  const linalg::Vector u = Scalings(rows, rng);
+  constexpr double kExponent = 5.0 / (5.0 + kEpsilon);
+  const size_t block_rows = linalg::FusedSweepBlockRows(rows, cols);
+  const bool one_block = block_rows >= rows;
+  linalg::Vector next_u, ktu, scratch, kv, ref_u(rows), ref_ktu;
+  bool ok = true;
+  for (const bool flush : {false, true}) {
+    std::optional<linalg::ScopedFlushSubnormals> scope;
+    if (flush) scope.emplace();
+    const double residual = pooled.UpdateRowsApplyTranspose(
+        marginal, kExponent, v, u, next_u, ktu, scratch);
+    serial.Apply(v, kv);
+    const double ref_residual =
+        linalg::simd::ScalingUpdate(marginal.begin(), kv.begin(), kExponent,
+                                    u.begin(), ref_u.begin(), rows);
+    serial.ApplyTranspose(ref_u, ref_ktu);
+    bool match = residual == ref_residual && next_u.data() == ref_u.data();
+    for (size_t c = 0; c < cols; ++c) {
+      const double tol = one_block ? 0.0 : 1e-14 * std::fabs(ref_ktu[c]);
+      match &= std::fabs(ktu[c] - ref_ktu[c]) <= tol;
+    }
+    if (!match) {
+      std::printf("# MISMATCH: fused sweep != split pair (nnz=%zu flush=%d)\n",
+                  rows * cols, flush);
+      ok = false;
+    }
+    const size_t batches = full ? 9 : 5;
+    const double batch_ms = full ? 40.0 : 10.0;
+    SweepRow row;
+    row.tier = "dense_fused";
+    row.rows = rows;
+    row.cols = cols;
+    row.nnz = rows * cols;
+    row.flush = flush;
+    row.serial_us = MedianMicros(
+        [&] {
+          serial.UpdateRowsApplyTranspose(marginal, kExponent, v, u, next_u,
+                                          ktu, scratch);
+        },
+        batches, batch_ms);
+    row.pooled_us = MedianMicros(
+        [&] {
+          pooled.UpdateRowsApplyTranspose(marginal, kExponent, v, u, next_u,
+                                          ktu, scratch);
+        },
+        batches, batch_ms);
+    row.kernel_chunks =
+        linalg::PlanChunks((rows + block_rows - 1) / block_rows, threads, 1)
+            .num_chunks;
+    std::printf("%-7s %-11zu %-6s %-12.2f %-12.2f %-8.2f %zu\n", "fused",
+                row.nnz, flush ? "on" : "off", row.serial_us, row.pooled_us,
+                row.serial_us / row.pooled_us, row.kernel_chunks);
+    out.push_back(row);
+  }
+  return ok;
+}
+
 bool RunSweep(bool full, size_t threads, std::vector<SweepRow>& rows) {
   linalg::ThreadPool pool(threads);
   Rng rng(11);
@@ -233,6 +311,7 @@ bool RunSweep(bool full, size_t threads, std::vector<SweepRow>& rows) {
           DenseKernelMatrix(m, 2 * m, rng), threads, &pool);
       ok &= SweepOne("dense", kernel.kernel(), kernel, DensePair, threads,
                      pool, full, rng, rows);
+      ok &= FusedOne(kernel, threads, pool, full, rng, rows);
     }
     {
       // Same stored nnz at density 1/4: a 2× taller and wider grid.
@@ -260,7 +339,11 @@ void WriteSweepJson(const char* path, const std::vector<SweepRow>& rows,
   std::fprintf(f, "  \"isa\": \"%s\",\n", linalg::simd::ActiveIsaName());
   std::fprintf(f, "  \"build_type\": \"%s\",\n", OTCLEAN_BUILD_TYPE);
   std::fprintf(f, "  \"min_parallel_work\": %zu,\n", linalg::kMinParallelWork);
-  std::fprintf(f, "  \"op\": \"Apply+ApplyTranspose, f64, median us per pair\",\n");
+  std::fprintf(f,
+               "  \"op\": \"f64 median us per sweep: Apply+ApplyTranspose "
+               "forced to one chunk per lane when pooled (dense, csr); the "
+               "engine's fused UpdateRowsApplyTranspose over its own row "
+               "blocks (dense_fused)\",\n");
   std::fprintf(f, "  \"cross_checks_ok\": %s,\n", checks_ok ? "true" : "false");
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -394,9 +477,10 @@ int main(int argc, char** argv) {
   const size_t threads = std::max<size_t>(hw, 2);
 
   bench::PrintHeader(
-      "TransportKernel: serial vs pooled Apply+ApplyTranspose by kernel size",
+      "TransportKernel: serial vs pooled Sinkhorn sweep by kernel size",
       "pooling loses on cache-resident kernels and wins on large ones; "
-      "the crossover sets linalg::kMinParallelWork");
+      "the crossover sets linalg::kMinParallelWork; the fused dense sweep "
+      "reads the kernel once");
   std::vector<SweepRow> rows;
   const bool sweep_ok = RunSweep(full, threads, rows);
   WriteSweepJson("BENCH_parallel_cutoff.json", rows, threads, full, sweep_ok);

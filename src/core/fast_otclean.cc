@@ -255,9 +255,10 @@ Result<FastOtCleanResult> RunOuterLoop(const prob::JointDistribution& p_data,
   // or ±inf from a user cost function would otherwise be silently
   // truncated away (NaN >= cutoff is false) or flushed to 0 by the log
   // kernels — and NaN kernel entries void the SIMD max-reduction
-  // contract. One extra streaming pass per repair; the iterations
+  // contract. A linear kernel also rejects costs whose e^{−C/ε} overflows
+  // its storage. One extra streaming pass per repair; the iterations
   // dominate.
-  OTCLEAN_RETURN_NOT_OK(ot::ValidateFiniteCosts(where, cost_view));
+  OTCLEAN_RETURN_NOT_OK(ot::ValidateFiniteCosts(where, cost_view, &sink));
   OTCLEAN_RETURN_NOT_OK(CheckStop(options.cancel_token, options.deadline, where));
 
   // kKernelNan fires here — past validation, so the NaN reaches the kernel

@@ -5,6 +5,7 @@
 #include <cstddef>
 
 #include "linalg/matrix.h"
+#include "linalg/parallel_for.h"
 
 namespace otclean::linalg {
 
@@ -88,13 +89,22 @@ class MatrixCostProvider final : public CostProvider {
 };
 
 /// Materializes the view as a dense matrix — the one place the O(rows×cols)
-/// allocation happens when a caller really wants it.
-inline Matrix MaterializeCostMatrix(const CostProvider& cost) {
-  Matrix out(cost.rows(), cost.cols());
+/// allocation happens when a caller really wants it. Rows are filled in
+/// row chunks on `pool` (borrowed; inline when null) over `num_threads`
+/// (0 = hardware concurrency); each entry is written once, by one Fill,
+/// so the result is the same at any thread count.
+inline Matrix MaterializeCostMatrix(const CostProvider& cost,
+                                    size_t num_threads = 1,
+                                    ThreadPool* pool = nullptr) {
+  const size_t n = cost.cols();
+  Matrix out(cost.rows(), n);
   double* data = out.data().data();
-  for (size_t r = 0; r < cost.rows(); ++r) {
-    cost.Fill(r, 0, cost.cols(), data + r * cost.cols());
-  }
+  ParallelFor(
+      cost.rows(), ResolveThreadCount(num_threads),
+      [&](size_t r0, size_t r1) {
+        for (size_t r = r0; r < r1; ++r) cost.Fill(r, 0, n, data + r * n);
+      },
+      GrainForWork(n), pool);
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "linalg/parallel_for.h"
 #include "linalg/simd.h"
 
 namespace otclean::linalg {
@@ -109,12 +110,18 @@ Matrix Matrix::CwiseProduct(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::GibbsKernel(double rho) const {
+Matrix Matrix::GibbsKernel(double rho, size_t num_threads,
+                           ThreadPool* pool) const {
   assert(rho > 0.0);
   Matrix out(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i) {
-    out.data_[i] = std::exp(-data_[i] / rho);
-  }
+  ParallelFor(
+      rows_, ResolveThreadCount(num_threads),
+      [&](size_t r0, size_t r1) {
+        for (size_t i = r0 * cols_; i < r1 * cols_; ++i) {
+          out.data_[i] = std::exp(-data_[i] / rho);
+        }
+      },
+      GrainForWork(cols_), pool);
   return out;
 }
 

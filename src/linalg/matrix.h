@@ -9,6 +9,8 @@
 
 namespace otclean::linalg {
 
+class ThreadPool;
+
 /// Dense row-major double matrix.
 ///
 /// Provides the kernels used across the library: matrix–vector products
@@ -57,7 +59,11 @@ class Matrix {
   /// Elementwise product (Hadamard).
   Matrix CwiseProduct(const Matrix& other) const;
   /// Elementwise exp(-this/rho): the Sinkhorn Gibbs kernel K = e^{-C/ρ}.
-  Matrix GibbsKernel(double rho) const;
+  /// Computed in row chunks over `num_threads` (0 = hardware concurrency)
+  /// on `pool` (borrowed; inline when null); every entry is computed on
+  /// its own, so the result is the same at any thread count.
+  Matrix GibbsKernel(double rho, size_t num_threads = 1,
+                     ThreadPool* pool = nullptr) const;
 
   Matrix& operator+=(const Matrix& other);
   Matrix& operator-=(const Matrix& other);

@@ -100,7 +100,10 @@ double GatherDot(const double* vals, const size_t* idx, const double* x,
 /// the CSC transpose-apply kernel. Unlike GatherDot it never reorders the
 /// sum: one rounded multiply and one rounded add per element, exactly the
 /// chain AxpyRows applies to each output, so at full support the sparse
-/// transpose-apply is bit-identical to the dense one. The chain is
+/// transpose-apply is bit-identical to the dense ApplyTranspose, and to
+/// the dense fused sweep (UpdateRowsApplyTranspose) on a single-block
+/// kernel; a multi-block fused sweep adds its per-block partials in block
+/// order and so differs from this chain by rounding. The chain is
 /// latency-bound and identical in every tier (it is not dispatched) — the
 /// price of that exactness is that this one gather cannot use
 /// lane-parallel accumulators.

@@ -50,6 +50,42 @@ SparseStorage<T>::SparseStorage(const SparseMatrix& csr)
   }
 }
 
+namespace {
+
+/// Bytes of kernel rows one tile of the fused sweep reads: the tile's
+/// rows are dotted with v and then, while still in L2, added into the
+/// block's Kᵀu partial. Tiling only changes which calls handle which rows,
+/// never any element's arithmetic, so it does not enter the results.
+constexpr size_t kFusedTileBytes = size_t{128} << 10;
+
+}  // namespace
+
+size_t FusedSweepBlockRows(size_t rows, size_t cols) {
+  if (rows == 0) return 1;
+  const size_t target = std::max(GrainForWork(cols), kMinFusedBlockRows);
+  const size_t blocks = (rows + target - 1) / target;
+  return (rows + blocks - 1) / blocks;
+}
+
+// --------------------------------------------------------- TransportKernel --
+
+double TransportKernel::UpdateRowsApplyTranspose(const Vector& marginal,
+                                                 double exponent,
+                                                 const Vector& v,
+                                                 const Vector& u,
+                                                 Vector& next_u, Vector& ktu,
+                                                 Vector& scratch) const {
+  const size_t m = rows();
+  assert(marginal.size() == m && u.size() == m);
+  if (next_u.size() != m) next_u = Vector(m);
+  Apply(v, scratch);
+  const double residual = simd::ScalingUpdate(
+      marginal.begin(), scratch.begin(), exponent, u.begin(), next_u.begin(),
+      m);
+  ApplyTranspose(next_u, ktu);
+  return residual;
+}
+
 // ----------------------------------------------------------------- Dense --
 
 template <typename T>
@@ -69,7 +105,8 @@ template <typename T>
 DenseKernel<T> DenseKernel<T>::FromCost(const Matrix& cost, double epsilon,
                                         size_t num_threads, ThreadPool* pool) {
   assert(epsilon > 0.0);
-  return DenseKernel(Storage(cost.GibbsKernel(epsilon)), num_threads, pool);
+  return DenseKernel(Storage(cost.GibbsKernel(epsilon, num_threads, pool)),
+                     num_threads, pool);
 }
 
 template <typename T>
@@ -110,6 +147,75 @@ void DenseKernel<T>::ApplyTranspose(const Vector& u, Vector& y) const {
         simd::AxpyRows(u.begin(), data + c0, n, m, out, w);
       },
       GrainForWork(m), pool_);
+}
+
+template <typename T>
+double DenseKernel<T>::UpdateRowsApplyTranspose(const Vector& marginal,
+                                                double exponent,
+                                                const Vector& v,
+                                                const Vector& u,
+                                                Vector& next_u, Vector& ktu,
+                                                Vector& scratch) const {
+  const size_t m = rows();
+  const size_t n = cols();
+  assert(marginal.size() == m && v.size() == n && u.size() == m);
+  if (next_u.size() != m) next_u = Vector(m);
+  if (ktu.size() != n) ktu = Vector(n);
+  const size_t block_rows = FusedSweepBlockRows(m, n);
+  // At least one block, so ktu is zeroed even for an empty kernel.
+  const size_t num_blocks =
+      std::max<size_t>(1, (m + block_rows - 1) / block_rows);
+  // Scratch: K·v for every row, each block's residual, and the Kᵀu
+  // partials of blocks 1.. (block 0 accumulates straight into ktu).
+  const size_t scratch_size = m + num_blocks + (num_blocks - 1) * n;
+  if (scratch.size() != scratch_size) scratch = Vector(scratch_size);
+  double* kv = scratch.begin();
+  double* residuals = kv + m;
+  double* partials = residuals + num_blocks;
+  const T* data = kernel_->data().data();
+  const size_t tile_rows = std::max<size_t>(
+      1, kFusedTileBytes / (std::max<size_t>(n, 1) * sizeof(T)));
+  ParallelFor(
+      num_blocks, threads_,
+      [&](size_t b0, size_t b1) {
+        for (size_t b = b0; b < b1; ++b) {
+          const size_t r_end = std::min(m, (b + 1) * block_rows);
+          double* out = b == 0 ? ktu.begin() : partials + (b - 1) * n;
+          std::fill(out, out + n, 0.0);
+          double residual = 0.0;
+          for (size_t r0 = b * block_rows; r0 < r_end; r0 += tile_rows) {
+            const size_t r1 = std::min(r_end, r0 + tile_rows);
+            for (size_t r = r0; r < r1; ++r) {
+              kv[r] = simd::Dot(data + r * n, v.begin(), n);
+            }
+            residual = std::max(
+                residual, simd::ScalingUpdate(marginal.begin() + r0, kv + r0,
+                                              exponent, u.begin() + r0,
+                                              next_u.begin() + r0, r1 - r0));
+            // Rows whose new scaling is 0 are skipped unread (AxpyRows).
+            simd::AxpyRows(next_u.begin() + r0, data + r0 * n, n, r1 - r0, out,
+                           n);
+          }
+          residuals[b] = residual;
+        }
+      },
+      /*grain=*/1, pool_);
+  if (num_blocks > 1) {
+    ParallelFor(
+        n, threads_,
+        [&](size_t c0, size_t c1) {
+          for (size_t b = 1; b < num_blocks; ++b) {
+            const double* part = partials + (b - 1) * n;
+            for (size_t c = c0; c < c1; ++c) ktu[c] += part[c];
+          }
+        },
+        GrainForWork(num_blocks), pool_);
+  }
+  double residual = 0.0;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    residual = std::max(residual, residuals[b]);
+  }
+  return residual;
 }
 
 template <typename T>

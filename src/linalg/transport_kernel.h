@@ -15,24 +15,27 @@ namespace otclean::linalg {
 
 class ThreadPool;
 
-/// Storage-agnostic view of a Gibbs kernel K = e^{−C/ε}, exposing exactly
-/// the four primitives the Sinkhorn scaling loop needs. The solver engine
-/// in ot/sinkhorn.cc is written once against this interface; dense and
+/// Storage-agnostic view of a Gibbs kernel K = e^{−C/ε}, exposing the
+/// primitives the Sinkhorn scaling loop needs. The solver engine in
+/// ot/sinkhorn.cc is written once against this interface; dense and
 /// CSR-sparse (truncated-kernel) storage, at either storage precision,
 /// plug in underneath.
 ///
 /// All primitives are multi-threaded over row (or column) blocks.
 /// `num_threads` is fixed at construction: 0 = hardware concurrency,
 /// 1 = serial. Results are bit-compatible across thread counts — outputs
-/// are either written to disjoint index ranges or reduced over fixed-size
-/// blocks whose partial sums are combined in block order (see
-/// parallel_for.h).
+/// are either written to disjoint index ranges or reduced over blocks
+/// fixed by the kernel's shape, whose partial sums are combined in block
+/// order (see parallel_for.h).
 ///
 /// Inner loops run on the runtime-dispatched SIMD primitives of
 /// linalg/simd.h. The SIMD layer's own determinism contract composes with
 /// the threading one: for a fixed instruction set, pooled and inline runs
-/// at any thread count are bit-identical, and dense vs cutoff-zero sparse
-/// f64 kernels share one accumulation recipe.
+/// at any thread count are bit-identical. Dense and cutoff-zero sparse f64
+/// kernels share one Kᵀu accumulation recipe in ApplyTranspose, and in
+/// UpdateRowsApplyTranspose on a single-block dense kernel (below
+/// kMinParallelWork nonzeros); a multi-block dense sweep sums its per-block
+/// Kᵀu partials in block order instead, which differs only by rounding.
 ///
 /// `pool`, when non-null, is a persistent worker pool (thread_pool.h) the
 /// primitives dispatch on; without one they run their chunks inline. The
@@ -55,6 +58,21 @@ class TransportKernel {
   virtual void Apply(const Vector& v, Vector& y) const = 0;
   /// y = Kᵀ·u (the column update's denominator). Resizes y.
   virtual void ApplyTranspose(const Vector& u, Vector& y) const = 0;
+  /// One linear Sinkhorn row half-update and the transpose product after
+  /// it — the whole kernel-side work of a sweep:
+  ///
+  ///   next_u = simd::ScalingUpdate(marginal, K·v, exponent, u)
+  ///   ktu    = Kᵀ·next_u
+  ///
+  /// Returns ScalingUpdate's residual. `scratch` is work space, resized as
+  /// needed; passing the same one every sweep keeps the loop free of
+  /// allocations. `next_u` must not alias `u`. Resizes next_u and ktu.
+  /// This default runs Apply, the update and ApplyTranspose in turn (the
+  /// CSR kernels use it); the dense kernel reads each row once.
+  virtual double UpdateRowsApplyTranspose(const Vector& marginal,
+                                          double exponent, const Vector& v,
+                                          const Vector& u, Vector& next_u,
+                                          Vector& ktu, Vector& scratch) const;
   /// The scaled plan π = diag(u)·K·diag(v), materialized densely.
   virtual Matrix ScaleToPlan(const Vector& u, const Vector& v) const = 0;
   /// ⟨C, π⟩ = Σ_{(i,j) in support} C_ij·u_i·K_ij·v_j over the kernel's
@@ -101,6 +119,15 @@ class MatrixF32 {
   size_t cols_;
   std::vector<float> data_;
 };
+
+/// Rows per block of the dense fused sweep (UpdateRowsApplyTranspose) on
+/// a rows×cols kernel — a function of the shape alone, never of the
+/// thread count. Blocks hold about kMinParallelWork entries (so a kernel
+/// below that is one block) split evenly over the rows, and at least
+/// kMinFusedBlockRows rows, which caps the per-block Kᵀu partials at
+/// 1/kMinFusedBlockRows of the kernel's entries.
+inline constexpr size_t kMinFusedBlockRows = 16;
+size_t FusedSweepBlockRows(size_t rows, size_t cols);
 
 /// Dense row-major storage of K = e^{−C/ε} or L = −C/ε at scalar T.
 template <typename T>
@@ -171,7 +198,8 @@ class DenseKernel final : public TransportKernel {
   explicit DenseKernel(std::shared_ptr<const Storage> kernel,
                        size_t num_threads = 0, ThreadPool* pool = nullptr);
 
-  /// Builds K = e^{−C/ε} from a cost matrix (in f64, then narrowed).
+  /// Builds K = e^{−C/ε} from a cost matrix (in f64, row-chunked on the
+  /// pool, then narrowed).
   static DenseKernel FromCost(const Matrix& cost, double epsilon,
                               size_t num_threads = 0,
                               ThreadPool* pool = nullptr);
@@ -183,6 +211,17 @@ class DenseKernel final : public TransportKernel {
 
   void Apply(const Vector& v, Vector& y) const override;
   void ApplyTranspose(const Vector& u, Vector& y) const override;
+  /// Fused over fixed row blocks: each block computes K·v for its rows,
+  /// writes their scalings, and adds next_u_r·K_r into its own Kᵀu
+  /// partial while the rows are still in cache; the partials are then
+  /// summed in block order. The blocks depend only on the kernel's shape
+  /// (FusedSweepBlockRows), so the result is bit-identical at any thread
+  /// count and pooled or inline. A single-block kernel computes exactly
+  /// the bits of Apply + ScalingUpdate + ApplyTranspose.
+  double UpdateRowsApplyTranspose(const Vector& marginal, double exponent,
+                                  const Vector& v, const Vector& u,
+                                  Vector& next_u, Vector& ktu,
+                                  Vector& scratch) const override;
   Matrix ScaleToPlan(const Vector& u, const Vector& v) const override;
   using TransportKernel::TransportCost;
   double TransportCost(const CostProvider& cost, const Vector& u,

@@ -57,7 +57,7 @@ KernelBuild FetchOrBuild(Slot<K> slot, const linalg::CostProvider& cost,
     if (matrix == nullptr) {
       if (!dense_cost) {
         dense_cost = std::make_shared<const linalg::Matrix>(
-            linalg::MaterializeCostMatrix(cost));
+            linalg::MaterializeCostMatrix(cost, spec.num_threads, spec.pool));
       }
       matrix = dense_cost.get();
     }

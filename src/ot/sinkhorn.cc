@@ -145,7 +145,7 @@ Status ValidateInputs(const char* where, const linalg::CostProvider& cost,
         " can never be reached (it must be a positive number)");
   }
   if (Status s = ValidateMarginals(where, p, q); !s.ok()) return s;
-  return ValidateFiniteCosts(where, cost);
+  return ValidateFiniteCosts(where, cost, &options);
 }
 
 }  // namespace
@@ -179,21 +179,41 @@ Status ValidateSinkhornOptions(const char* where,
 // solve (the iterations dominate), and checking inside the truncated
 // kernel build instead would miss NaN entries entirely (NaN ≥ cutoff is
 // false, so they are silently truncated away rather than caught).
-Status ValidateFiniteCosts(const char* where,
-                           const linalg::CostProvider& cost) {
+Status ValidateFiniteCosts(const char* where, const linalg::CostProvider& cost,
+                           const SinkhornOptions* kernel) {
   const size_t rows = cost.rows();
   const size_t cols = cost.cols();
+  // Below this a linear kernel's e^{−C/ε} overflows its storage type.
+  double floor = -std::numeric_limits<double>::infinity();
+  if (kernel != nullptr && !kernel->log_domain) {
+    const bool f32 = kernel->precision == linalg::Precision::kFloat32;
+    floor = -kernel->epsilon *
+            std::log(f32 ? std::numeric_limits<float>::max()
+                         : std::numeric_limits<double>::max());
+  }
   const auto fail = [&](size_t r, size_t c, double v) {
+    const std::string entry = std::string(where) + ": cost(" +
+                              std::to_string(r) + ", " + std::to_string(c) +
+                              ") = " + std::to_string(v);
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument(
+          entry +
+          " is not finite; costs must be finite (use a large finite penalty "
+          "for forbidden moves)");
+    }
     return Status::InvalidArgument(
-        std::string(where) + ": cost(" + std::to_string(r) + ", " +
-        std::to_string(c) + ") = " + std::to_string(v) +
-        " is not finite; costs must be finite (use a large finite penalty "
-        "for forbidden moves)");
+        entry + " is below -epsilon*ln(max " +
+        linalg::PrecisionName(kernel->precision) + ") = " +
+        std::to_string(floor) +
+        ", so its Gibbs weight e^{-C/eps} overflows the linear kernel; set "
+        "log_domain, raise epsilon, or shift the costs up");
   };
   if (const linalg::Matrix* dense = cost.AsMatrix()) {
     const double* data = dense->data().data();
     for (size_t i = 0; i < dense->size(); ++i) {
-      if (!std::isfinite(data[i])) return fail(i / cols, i % cols, data[i]);
+      if (!(std::isfinite(data[i]) && data[i] >= floor)) {
+        return fail(i / cols, i % cols, data[i]);
+      }
     }
     return Status::OK();
   }
@@ -203,7 +223,8 @@ Status ValidateFiniteCosts(const char* where,
       const size_t c1 = std::min(cols, c0 + tile.size());
       cost.Fill(r, c0, c1, tile.data());
       for (size_t c = c0; c < c1; ++c) {
-        if (!std::isfinite(tile[c - c0])) return fail(r, c, tile[c - c0]);
+        const double v = tile[c - c0];
+        if (!(std::isfinite(v) && v >= floor)) return fail(r, c, v);
       }
     }
   }
@@ -312,10 +333,10 @@ Result<SinkhornScaling> RunSinkhornScaling(
   out.v = warm_v != nullptr ? *warm_v : linalg::Vector::Ones(n);
 
   const double exponent = RelaxedExponent(options);
-  linalg::Vector kv(m);
+  linalg::Vector scratch;
   out.ktu = linalg::Vector(n);
   // While the loop runs, pooled kernel dispatches observe the token too:
-  // a fired token drains in-flight Apply/ApplyTranspose dispatches without
+  // a fired token drains in-flight kernel dispatches without
   // touching their chunk decomposition. Subnormals are flushed for the
   // loop's duration (on pool workers too — they adopt the dispatcher's FP
   // mode): the underflowing K_ij·v_j products would otherwise each cost a
@@ -328,18 +349,18 @@ Result<SinkhornScaling> RunSinkhornScaling(
       out.u, out.v, options, "RunSinkhornScaling", out.iterations,
       out.converged,
       // Each half-update writes its scalings and their relative change in
-      // one pass of the SIMD relaxed update (linalg/simd.h).
+      // one pass of the SIMD relaxed update (linalg/simd.h). The row
+      // half-update also leaves Kᵀ·next_u in out.ktu — one kernel pass per
+      // sweep — so the column half-update reads no kernel at all.
       /*row_update=*/
       [&](const linalg::Vector& v, const linalg::Vector& u,
           linalg::Vector& next_u) {
-        kernel.Apply(v, kv);
-        return linalg::simd::ScalingUpdate(p.begin(), kv.begin(), exponent,
-                                           u.begin(), next_u.begin(), m);
+        return kernel.UpdateRowsApplyTranspose(p, exponent, v, u, next_u,
+                                               out.ktu, scratch);
       },
       /*col_update=*/
-      [&](const linalg::Vector& u, const linalg::Vector& v,
-          linalg::Vector& next_v) {
-        kernel.ApplyTranspose(u, out.ktu);
+      [&](const linalg::Vector& /*next_u, already in out.ktu*/,
+          const linalg::Vector& v, linalg::Vector& next_v) {
         return linalg::simd::ScalingUpdate(q.begin(), out.ktu.begin(),
                                            exponent, v.begin(),
                                            next_v.begin(), n);

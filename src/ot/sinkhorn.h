@@ -271,8 +271,15 @@ Status ValidateSinkhornOptions(const char* where,
 /// directly — a non-finite entry would otherwise be silently truncated
 /// away or flushed to 0 by the kernels). Streams tile-by-tile, O(tile)
 /// memory; zero-copy when the provider has a dense backing.
-Status ValidateFiniteCosts(const char* where,
-                           const linalg::CostProvider& cost);
+///
+/// With `kernel` (the options of the solve the costs will build a kernel
+/// for) in the linear domain, it also rejects entries whose Gibbs weight
+/// e^{−C/ε} overflows the kernel's storage type, i.e. C < −ε·ln(max of
+/// f64 or f32): an infinite kernel entry is clamped away by the scaling
+/// update and the solve returns ok on a plan that ignores those moves.
+/// The log domain stores −C/ε and accepts such costs.
+Status ValidateFiniteCosts(const char* where, const linalg::CostProvider& cost,
+                           const SinkhornOptions* kernel = nullptr);
 
 /// Verifies a truncated kernel can carry the marginals: every row i with
 /// p[i] > 0 (and, when `q` is non-null, every column j with q[j] > 0) must

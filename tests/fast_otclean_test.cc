@@ -248,6 +248,66 @@ TEST(FastOtCleanTest, RejectsBadInputs) {
             StatusCode::kInvalidArgument);
 }
 
+/// A cost of `penalty` between tuples differing in the first attribute
+/// and 1 between other distinct tuples.
+ot::LambdaCost FirstAttributePenaltyCost(double penalty) {
+  return ot::LambdaCost(
+      [penalty](const std::vector<int>& a, const std::vector<int>& b) {
+        if (a == b) return 0.0;
+        return a[0] != b[0] ? penalty : 1.0;
+      });
+}
+
+TEST(FastOtCleanTest, LinearKernelsRejectCostsWhoseGibbsWeightOverflows) {
+  // e^{−C/ε} is +inf in f64 below C = −ε·ln(DBL_MAX) ≈ −71 at ε = 0.1, and
+  // in f32 storage below −ε·ln(FLT_MAX) ≈ −8.9. An infinite kernel entry
+  // is clamped away by the scaling update, so the solve used to return ok
+  // on a plan ignoring those moves; it is now InvalidArgument, naming the
+  // entry and pointing at log_domain, which stores −C/ε and solves it.
+  const Domain d = Domain::FromCardinalities({3, 3, 2});
+  JointDistribution p(d);
+  Rng data_rng(17);
+  for (size_t i = 0; i < p.size(); ++i) p[i] = 0.05 + data_rng.NextDouble();
+  p.Normalize();
+  const CiSpec ci{{0}, {1}, {2}};
+  FastOtCleanOptions opts = DefaultOptions();
+  opts.max_outer_iterations = 50;
+
+  const auto expect_rejected = [&](const FastOtCleanOptions& o,
+                                   const ot::CostFunction& cost) {
+    Rng rng(3);
+    const auto r = FastOtClean(p, ci, cost, o, rng);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().ToString().find("cost("), std::string::npos);
+    EXPECT_NE(r.status().ToString().find("log_domain"), std::string::npos);
+  };
+  const auto expect_solved = [&](const FastOtCleanOptions& o,
+                                 const ot::CostFunction& cost) {
+    Rng rng(3);
+    const auto r = FastOtClean(p, ci, cost, o, rng);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(std::isfinite(r->transport_cost));
+    EXPECT_LT(r->transport_cost, -1.0);  // the negative moves are taken
+  };
+
+  const ot::LambdaCost f64_overflow = FirstAttributePenaltyCost(-99.0);
+  const ot::LambdaCost f32_overflow = FirstAttributePenaltyCost(-49.0);
+  FastOtCleanOptions f32 = opts;
+  f32.precision = linalg::Precision::kFloat32;
+  FastOtCleanOptions log = opts;
+  log.log_domain = true;
+  FastOtCleanOptions log_f32 = f32;
+  log_f32.log_domain = true;
+
+  expect_rejected(opts, f64_overflow);
+  expect_rejected(f32, f64_overflow);
+  expect_rejected(f32, f32_overflow);
+  expect_solved(opts, f32_overflow);  // −49 fits f64
+  expect_solved(log, f64_overflow);
+  expect_solved(log_f32, f32_overflow);
+}
+
 TEST(FastOtCleanTest, RejectsNonFiniteOrNonPositiveEpsilonAndLambda) {
   // Regression: λ = −1 returned ok with cost ~1e-21 (nothing repaired),
   // λ = −0.1 returned cost ~1e297, and a NaN ε ended in a retryable

@@ -267,8 +267,8 @@ TEST(FaultInjectionTest, WorkerDelayAloneChangesNothing) {
     testing::WorkerChunkProbe probe;
     baseline = RepairTable(table, wide, opts);
     ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-    // ≥ 2 chunks per kernel pass, 2 passes per Sinkhorn iteration.
-    EXPECT_GE(probe.pooled_chunks(), 4 * baseline->total_sinkhorn_iterations);
+    // ≥ 2 chunks per kernel pass, one fused pass per Sinkhorn iteration.
+    EXPECT_GE(probe.pooled_chunks(), 2 * baseline->total_sinkhorn_iterations);
     EXPECT_GT(probe.worker_chunks(), 0u);
   }
 

@@ -485,6 +485,23 @@ TEST(LogSinkhornBugfixTest, NegativeMarginalsAndNonFiniteCostsRejected) {
     ASSERT_FALSE(r.ok());
     EXPECT_NE(r.status().ToString().find("cost(0, 1)"), std::string::npos);
   }
+  // A finite cost whose linear Gibbs weight overflows (e^{99/0.1}) is
+  // rejected on the linear dense and sparse paths; the log domain takes it.
+  Matrix overflow_cost = cost;
+  overflow_cost(1, 1) = -99.0;
+  ot::SinkhornOptions eps01;
+  eps01.epsilon = 0.1;
+  {
+    const auto dense = ot::RunSinkhorn(overflow_cost, ok, ok, eps01);
+    ASSERT_FALSE(dense.ok());
+    EXPECT_NE(dense.status().ToString().find("cost(1, 1)"), std::string::npos);
+    EXPECT_NE(dense.status().ToString().find("log_domain"), std::string::npos);
+    EXPECT_FALSE(ot::RunSinkhornSparse(overflow_cost, ok, ok, eps01, 0.0).ok());
+    ot::SinkhornOptions log = eps01;
+    log.log_domain = true;
+    EXPECT_TRUE(ot::RunSinkhorn(overflow_cost, ok, ok, log).ok());
+    EXPECT_TRUE(ot::RunSinkhornSparse(overflow_cost, ok, ok, log, 0.0).ok());
+  }
   // FastOtClean guards its streamed cost function too — a NaN would
   // otherwise be silently truncated away or flushed to 0 by the kernels.
   {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
 #include "linalg/cost_provider.h"
 #include "linalg/parallel_for.h"
+#include "linalg/simd.h"
+#include "linalg/thread_pool.h"
 #include "ot/cost.h"
 #include "ot/sinkhorn.h"
 #include "prob/domain.h"
@@ -372,6 +375,192 @@ TEST(UnifiedSinkhornTest, ScalingEntryPointMatchesWrapper) {
   // Mis-sized marginals must error, not read out of bounds.
   EXPECT_FALSE(ot::RunSinkhornScaling(kernel, Vector(3), q, opts).ok());
   EXPECT_FALSE(ot::RunSinkhornScaling(kernel, p, Vector(3), opts).ok());
+}
+
+// ------------------------------------------------------- fused sweep ----
+
+/// The split sequence UpdateRowsApplyTranspose replaces: Apply, the
+/// relaxed update over all rows, then ApplyTranspose.
+double SplitSweep(const TransportKernel& kernel, const Vector& marginal,
+                  double exponent, const Vector& v, const Vector& u,
+                  Vector& next_u, Vector& ktu) {
+  Vector kv;
+  kernel.Apply(v, kv);
+  next_u = Vector(u.size());
+  const double residual =
+      simd::ScalingUpdate(marginal.begin(), kv.begin(), exponent, u.begin(),
+                          next_u.begin(), u.size());
+  kernel.ApplyTranspose(next_u, ktu);
+  return residual;
+}
+
+/// The inputs of one sweep: a kernel from a random cost, the row marginal,
+/// and the previous scalings.
+struct SweepInputs {
+  SweepInputs(size_t m, size_t n, uint64_t seed)
+      : kernel(RandomCost(m, n, seed).GibbsKernel(0.5)),
+        marginal(RandomMarginal(m, seed + 1)),
+        v(RandomMarginal(n, seed + 2)),
+        u(RandomMarginal(m, seed + 3)) {}
+  Matrix kernel;
+  Vector marginal, v, u;
+};
+
+template <typename T>
+DenseKernel<T> MakeDense(const Matrix& k, size_t threads,
+                         ThreadPool* pool = nullptr) {
+  return DenseKernel<T>(typename DenseKernel<T>::Storage(k), threads, pool);
+}
+
+template <typename T>
+class FusedSweepTest : public ::testing::Test {};
+using StorageTypes = ::testing::Types<double, float>;
+TYPED_TEST_SUITE(FusedSweepTest, StorageTypes);
+
+TYPED_TEST(FusedSweepTest, SingleBlockIsBitIdenticalToSplitSequence) {
+  // Below kMinParallelWork entries a kernel is one block, and the fused
+  // sweep computes exactly the split sequence's bits — the 200×1000 case
+  // also spans several cache tiles of rows.
+  for (const auto& [m, n] : {std::pair<size_t, size_t>{7, 5},
+                             {37, 53},
+                             {200, 1000}}) {
+    ASSERT_GE(FusedSweepBlockRows(m, n), m);
+    const SweepInputs in(m, n, 61);
+    const auto kernel = MakeDense<TypeParam>(in.kernel, 1);
+    for (double exponent : {1.0, 0.9}) {
+      Vector next_ref, ktu_ref, next_u, ktu, scratch;
+      const double r_ref = SplitSweep(kernel, in.marginal, exponent, in.v,
+                                      in.u, next_ref, ktu_ref);
+      const double r = kernel.UpdateRowsApplyTranspose(
+          in.marginal, exponent, in.v, in.u, next_u, ktu, scratch);
+      EXPECT_EQ(r, r_ref);
+      for (size_t i = 0; i < m; ++i) ASSERT_EQ(next_u[i], next_ref[i]) << i;
+      for (size_t j = 0; j < n; ++j) ASSERT_EQ(ktu[j], ktu_ref[j]) << j;
+    }
+  }
+}
+
+TYPED_TEST(FusedSweepTest, MultiBlockMatchesSplitSequenceToRounding) {
+  // 951×899 is four blocks: the scalings and residual are the split
+  // sequence's bits, and Kᵀu differs only by the blocks' summation order.
+  const size_t m = 951, n = 899;
+  ASSERT_LT(FusedSweepBlockRows(m, n), m);
+  const SweepInputs in(m, n, 71);
+  const auto kernel = MakeDense<TypeParam>(in.kernel, 1);
+  Vector next_ref, ktu_ref, next_u, ktu, scratch;
+  const double r_ref =
+      SplitSweep(kernel, in.marginal, 0.9, in.v, in.u, next_ref, ktu_ref);
+  const double r = kernel.UpdateRowsApplyTranspose(in.marginal, 0.9, in.v,
+                                                   in.u, next_u, ktu, scratch);
+  EXPECT_EQ(r, r_ref);
+  for (size_t i = 0; i < m; ++i) ASSERT_EQ(next_u[i], next_ref[i]) << i;
+  for (size_t j = 0; j < n; ++j) {
+    EXPECT_NEAR(ktu[j], ktu_ref[j], 1e-14 * std::fabs(ktu_ref[j])) << j;
+  }
+}
+
+TYPED_TEST(FusedSweepTest, BitIdenticalAcrossThreadCountsPooledAndInline) {
+  const size_t m = 951, n = 899;
+  const SweepInputs in(m, n, 81);
+  const auto serial = MakeDense<TypeParam>(in.kernel, 1);
+  Vector next1, ktu1, scratch;
+  const double r1 = serial.UpdateRowsApplyTranspose(in.marginal, 0.9, in.v,
+                                                    in.u, next1, ktu1, scratch);
+  for (size_t threads : {1, 2, 3, 4}) {
+    ThreadPool pool(threads);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const auto kernel = MakeDense<TypeParam>(in.kernel, threads, p);
+      testing::WorkerChunkProbe probe;
+      // Repeated so that pool workers, not only the dispatching thread,
+      // get to run some of the chunks.
+      for (int rep = 0; rep < 20; ++rep) {
+        Vector next_u, ktu;
+        const double r = kernel.UpdateRowsApplyTranspose(
+            in.marginal, 0.9, in.v, in.u, next_u, ktu, scratch);
+        EXPECT_EQ(r, r1);
+        for (size_t i = 0; i < m; ++i) ASSERT_EQ(next_u[i], next1[i]) << i;
+        for (size_t j = 0; j < n; ++j) ASSERT_EQ(ktu[j], ktu1[j]) << j;
+      }
+      if (p != nullptr && threads > 1) {
+        EXPECT_GT(probe.worker_chunks(), 0u) << "threads=" << threads;
+      }
+    }
+  }
+}
+
+TYPED_TEST(FusedSweepTest, ZeroScalingRowsAreNeverReadAndClampsHold) {
+  // Row 3 (block 0) and row 700 (block 2) are NaN: K·v is NaN, so their
+  // scaling is 0 and the transpose half must skip them unread — else
+  // 0·NaN would poison every Kᵀu entry. Row 5 is all zeros (x/0 := 0) and
+  // row 6 tiny enough that its scaling overflows to the clamp ceiling.
+  const size_t m = 951, n = 899;
+  SweepInputs in(m, n, 91);
+  for (size_t j = 0; j < n; ++j) {
+    in.kernel(3, j) = std::numeric_limits<double>::quiet_NaN();
+    in.kernel(700, j) = std::numeric_limits<double>::quiet_NaN();
+    in.kernel(5, j) = 0.0;
+    in.kernel(6, j) = 1e-200;
+  }
+  for (size_t threads : {1, 3}) {
+    const auto kernel = MakeDense<TypeParam>(in.kernel, threads);
+    for (double exponent : {1.0, 0.9}) {
+      Vector next_ref, ktu_ref, next_u, ktu, scratch;
+      const double r_ref = SplitSweep(kernel, in.marginal, exponent, in.v,
+                                      in.u, next_ref, ktu_ref);
+      const double r = kernel.UpdateRowsApplyTranspose(
+          in.marginal, exponent, in.v, in.u, next_u, ktu, scratch);
+      EXPECT_EQ(r, r_ref);
+      EXPECT_EQ(next_u[3], 0.0);
+      EXPECT_EQ(next_u[700], 0.0);
+      EXPECT_EQ(next_u[5], 0.0);
+      const bool f32 = std::is_same_v<TypeParam, float>;
+      // 1e-200 is 0 in float storage, so the f32 row 6 is a zero row too.
+      EXPECT_EQ(next_u[6], f32 ? 0.0 : simd::kScalingCeiling);
+      for (size_t i = 0; i < m; ++i) ASSERT_EQ(next_u[i], next_ref[i]) << i;
+      for (size_t j = 0; j < n; ++j) {
+        ASSERT_TRUE(std::isfinite(ktu[j])) << j;
+        EXPECT_NEAR(ktu[j], ktu_ref[j], 1e-14 * std::fabs(ktu_ref[j])) << j;
+      }
+    }
+  }
+}
+
+TEST(FusedSweepTest, SparseKernelsRunTheSplitSequence) {
+  const SweepInputs in(40, 30, 95);
+  const SparseTransportKernel kernel(SparseMatrix::FromDense(in.kernel), 1);
+  Vector next_ref, ktu_ref, next_u, ktu, scratch;
+  const double r_ref =
+      SplitSweep(kernel, in.marginal, 0.9, in.v, in.u, next_ref, ktu_ref);
+  EXPECT_EQ(kernel.UpdateRowsApplyTranspose(in.marginal, 0.9, in.v, in.u,
+                                            next_u, ktu, scratch),
+            r_ref);
+  EXPECT_TRUE(next_u.ApproxEquals(next_ref, 0.0));
+  EXPECT_TRUE(ktu.ApproxEquals(ktu_ref, 0.0));
+}
+
+TEST(FusedSweepTest, BlockRowsDependOnShapeAlone) {
+  EXPECT_EQ(FusedSweepBlockRows(101, 101), 101u);  // below the cutoff
+  // 1375 columns: 190-row target, 8 even blocks of at most 172 rows.
+  EXPECT_EQ(FusedSweepBlockRows(1375, 1375), 172u);
+  // Very wide kernels keep kMinFusedBlockRows rows per block.
+  EXPECT_EQ(FusedSweepBlockRows(1000, size_t{1} << 20), kMinFusedBlockRows);
+}
+
+TEST(TransportKernelTest, PooledDenseBuildIsBitIdenticalToSerial) {
+  // Both set-up passes of a dense solve — the materialized cost and the
+  // Gibbs kernel — run row-chunked on the pool with the serial bits.
+  const size_t m = 700, n = 800;
+  const Matrix cost = RandomCost(m, n, 97);
+  const Matrix kernel = cost.GibbsKernel(0.3);
+  ThreadPool pool(3);
+  testing::WorkerChunkProbe probe;
+  const DenseTransportKernel pooled =
+      DenseTransportKernel::FromCost(cost, 0.3, 3, &pool);
+  EXPECT_TRUE(pooled.kernel().ApproxEquals(kernel, 0.0));
+  const MatrixCostProvider provider(cost);
+  EXPECT_TRUE(
+      MaterializeCostMatrix(provider, 3, &pool).ApproxEquals(cost, 0.0));
+  EXPECT_GT(probe.worker_chunks(), 0u);
 }
 
 // ------------------------------------------------------- ParallelFor ------
